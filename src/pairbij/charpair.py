@@ -15,7 +15,7 @@ from math import isqrt
 from pathlib import Path
 
 from . import encoders, nadic, streams
-from .errors import GuideExhausted, InvalidBit, UnknownPreset
+from .errors import GuideExhausted, InvalidBit, PairbijError, UnknownEncoder, UnknownPreset
 
 
 def _nat_to_bits(n: int) -> list[int]:
@@ -182,7 +182,7 @@ class SeedSpec:
         would silently drop the trailing zeros of a finite prefix.
         """
         src = iter(self.payload)
-        if self.encoder.name == encoders.BINS.name:
+        if self.encoder is encoders.BINS:
             return fuel.meter(_validated_bits(src))
         return fuel.meter(encoders.list_to_bins(self.encoder.forward(src)))
 
@@ -340,9 +340,6 @@ def preset_seed(name: str, k: int | None = None) -> SeedSpec:
     raise UnknownPreset(f"unknown pairing preset {name!r}")
 
 
-PRESET_NAMES = ("morton", "arith-set", "squares", "powers2", "syracuse", "bits-of-naturals")
-
-
 def preset_family(name: str, k: int | None = None,
                   fuel_budget: int = streams.DEFAULT_FUEL) -> PairingFamily:
     """Build the PairingFamily for a preset name; arith-set takes the step k."""
@@ -362,13 +359,23 @@ def read_seed_bits(path: str | Path) -> list[int]:
     return bits
 
 
+_SEED_FILE_ENCODERS = ("list", "mset", "set", "bins")
+
+
 def seed_from_file(path: str | Path, encoder_name: str = "bins") -> SeedSpec:
     """A finite characteristic-function prefix loaded from a file.
 
     Consuming past the end of the prefix raises GuideExhausted with the
     position reached, so external bit sources need only be long enough for
-    the calls actually made.
+    the calls actually made. The file's bits are a sequence, so only the
+    sequence encoders can read them; nat, nat-prime and nadic:<b> take a
+    single natural and raise UnknownEncoder here.
     """
+    if encoder_name not in _SEED_FILE_ENCODERS:
+        raise UnknownEncoder(
+            f"seed files take only the {', '.join(_SEED_FILE_ENCODERS)} encoders,"
+            f" got {encoder_name!r}"
+        )
     enc = encoders.by_name(encoder_name)
     bits = read_seed_bits(path)
     return SeedSpec(enc, streams.from_list(bits), f"seed-file:{path}:{encoder_name}")
@@ -400,3 +407,58 @@ def twist_family(f: PairingFamily, mask: int) -> PairingFamily:
         lambda n: f.unpair(n ^ mask),
         f.fuel_budget,
     )
+
+
+# -- family specs --------------------------------------------------------------------
+
+def parse_nat(text: str, what: str) -> int:
+    """Read a natural number from outside input, naming what it is when it is not one."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise PairbijError(f"{what} must be a natural number, got {text!r}") from None
+    if n < 0:
+        raise PairbijError(f"{what} must be non-negative, got {n}")
+    return n
+
+
+def _base_family(head: str, fuel_budget: int) -> PairingFamily:
+    kind, colon, arg = head.partition(":")
+    if kind == "nadic" and colon:
+        b = parse_nat(arg, "valuation base")
+        nadic.decons(b, 1)  # fail early on b < 2
+        return PairingFamily(
+            head, lambda x, y: nadic.pair(b, x, y), lambda n: nadic.unpair(b, n)
+        )
+    if kind == "arith-set" and colon:
+        return preset_family("arith-set", parse_nat(arg, "arith-set step"), fuel_budget)
+    if kind == "seed-file" and colon:
+        path, enc = arg, "bins"
+        if ":" in arg:
+            path, enc = arg.rsplit(":", 1)
+            if path.endswith(":nadic"):  # the one encoder name that holds a colon
+                path, enc = path[: -len(":nadic")], f"nadic:{enc}"
+        return family_from_seed(seed_from_file(path, enc), fuel_budget)
+    if head == "cantor":
+        return cantor_family()
+    if colon:
+        raise UnknownPreset(f"unknown family spec {head!r}")
+    return preset_family(head, fuel_budget=fuel_budget)
+
+
+def family(spec: str, fuel_budget: int = streams.DEFAULT_FUEL) -> PairingFamily:
+    """Build the family a spec names, e.g. 'morton', 'nadic:3' or 'arith-set:2,xor:7'.
+
+    A spec is one of nadic:<b>, cantor, arith-set:<k>, seed-file:<path>[:<encoder>]
+    or a parameterless preset (morton, squares, powers2, syracuse,
+    bits-of-naturals), followed by any number of ,xor:<mask> modifiers.
+    Malformed specs raise a PairbijError subclass.
+    """
+    head, *mods = spec.split(",")
+    fam = _base_family(head, fuel_budget)
+    for mod in mods:
+        if mod.startswith("xor:"):
+            fam = twist_family(fam, parse_nat(mod[4:], "xor mask"))
+        else:
+            raise PairbijError(f"unknown family modifier {mod!r}")
+    return fam

@@ -10,57 +10,13 @@ import sys
 from pathlib import Path
 
 from . import charpair, encoders, nadic, streams
-from .errors import FuelExhausted, PairbijError, UnknownPreset
+from .errors import FuelExhausted, PairbijError
 
 FUEL_ENV = "PAIRBIJ_FUEL"
 
-_PLAIN_PRESETS = ("morton", "squares", "powers2", "syracuse", "bits-of-naturals")
-
-
-def _parse_nat(text: str, what: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise PairbijError(f"{what} must be a natural number, got {text!r}") from None
-    if n < 0:
-        raise PairbijError(f"{what} must be non-negative, got {n}")
-    return n
-
-
-def _base_family(spec: str, fuel_budget: int) -> charpair.PairingFamily:
-    if spec.startswith("nadic:"):
-        b = _parse_nat(spec.split(":", 1)[1], "valuation base")
-        nadic.decons(b, 1)  # fail early on b < 2
-        return charpair.PairingFamily(
-            spec, lambda x, y: nadic.pair(b, x, y), lambda n: nadic.unpair(b, n)
-        )
-    if spec == "cantor":
-        return charpair.cantor_family()
-    if spec.startswith("arith-set:"):
-        k = _parse_nat(spec.split(":", 1)[1], "arith-set step")
-        return charpair.preset_family("arith-set", k, fuel_budget)
-    if spec.startswith("seed-file:"):
-        rest = spec[len("seed-file:"):]
-        if ":" in rest:
-            path, enc = rest.rsplit(":", 1)
-        else:
-            path, enc = rest, "bins"
-        return charpair.family_from_seed(charpair.seed_from_file(path, enc), fuel_budget)
-    if spec in _PLAIN_PRESETS:
-        return charpair.preset_family(spec, fuel_budget=fuel_budget)
-    raise UnknownPreset(f"unknown family spec {spec!r}")
-
-
-def parse_family(spec: str, fuel_budget: int) -> charpair.PairingFamily:
-    """Parse a family spec, e.g. 'morton', 'nadic:3', 'arith-set:2,xor:7'."""
-    head, *mods = spec.split(",")
-    fam = _base_family(head, fuel_budget)
-    for mod in mods:
-        if mod.startswith("xor:"):
-            fam = charpair.twist_family(fam, _parse_nat(mod[4:], "xor mask"))
-        else:
-            raise PairbijError(f"unknown family modifier {mod!r}")
-    return fam
+# Commands reach the library's spec parser through this name, so a tracer can
+# wrap it in one place.
+parse_family = charpair.family
 
 
 def _parse_literal(text: str):
@@ -71,8 +27,8 @@ def _parse_literal(text: str):
         inner = text[1:-1].strip()
         if not inner:
             return []
-        return [_parse_nat(tok.strip(), "list element") for tok in inner.split(",")]
-    return _parse_nat(text, "value")
+        return [charpair.parse_nat(tok.strip(), "list element") for tok in inner.split(",")]
+    return charpair.parse_nat(text, "value")
 
 
 def _takes_int(encoder_name: str) -> bool:
@@ -87,15 +43,15 @@ def _format_value(v) -> str:
 
 def _cmd_pair(args) -> int:
     fam = parse_family(args.family, args.fuel_budget)
-    x = _parse_nat(args.x, "x")
-    y = _parse_nat(args.y, "y")
+    x = charpair.parse_nat(args.x, "x")
+    y = charpair.parse_nat(args.y, "y")
     print(fam.pair(x, y))
     return 0
 
 
 def _cmd_unpair(args) -> int:
     fam = parse_family(args.family, args.fuel_budget)
-    n = _parse_nat(args.n, "n")
+    n = charpair.parse_nat(args.n, "n")
     x, y = fam.unpair(n)
     print(f"{x} {y}")
     return 0
@@ -118,7 +74,7 @@ def _cmd_encode(args) -> int:
 def _cmd_permute(args) -> int:
     nadic.decons(args.k, 1)
     nadic.decons(args.l, 1)
-    for n in range(args.upto + 1):
+    for n in range(charpair.parse_nat(args.upto, "upto") + 1):
         print(f"{n} {nadic.bij(args.k, args.l, n)}")
     return 0
 
@@ -153,7 +109,7 @@ def _render_svg(points) -> str:
 
 def _cmd_curve(args) -> int:
     fam = parse_family(args.family, args.fuel_budget)
-    points = _curve_points(fam, args.count)
+    points = _curve_points(fam, charpair.parse_nat(args.count, "count"))
     text = _render_csv(points) if args.format == "csv" else _render_svg(points)
     if args.out:
         Path(args.out).write_text(text)
@@ -162,170 +118,21 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-# -- selftest -----------------------------------------------------------------------
-
-def _interleave_bits(x: int, y: int) -> int:
-    out = 0
-    shift = 0
-    while x or y:
-        out |= (x & 1) << shift
-        x >>= 1
-        out |= (y & 1) << (shift + 1)
-        y >>= 1
-        shift += 2
-    return out
-
-
-def _check_nadic_golden(rng: int):
-    if nadic.cons(3, 10, 20) != 1830519:
-        return f"cons(3,10,20) = {nadic.cons(3, 10, 20)}"
-    if nadic.decons(3, 1830519) != (10, 20):
-        return f"decons(3,1830519) = {nadic.decons(3, 1830519)}"
-    got = [nadic.unpair(3, n) for n in range(8)]
-    want = [(0, 0), (0, 1), (1, 0), (0, 2), (0, 3), (1, 1), (0, 4), (0, 5)]
-    if got != want:
-        return f"unpair(3,.) over [0..7] = {got}"
-    if nadic.nat_to_nats(3, 2012) != [0, 2, 2, 0, 0, 0, 0]:
-        return f"nat_to_nats(3,2012) = {nadic.nat_to_nats(3, 2012)}"
-    return None
-
-
-def _check_nadic_roundtrips(rng: int):
-    for b in (2, 3, 7, 16):
-        for n in range(rng + 1):
-            if nadic.pair(b, *nadic.unpair(b, n)) != n:
-                return f"pair/unpair broke at b={b}, n={n}"
-            if nadic.nats_to_nat(b, nadic.nat_to_nats(b, n)) != n:
-                return f"nats roundtrip broke at b={b}, n={n}"
-    return None
-
-
-def _check_bij_law(rng: int):
-    upto = min(rng, 200)
-    for k in range(2, 6):
-        for l in range(2, 6):
-            for n in range(upto + 1):
-                if nadic.bij(l, k, nadic.bij(k, l, n)) != n:
-                    return f"bij law broke at k={k}, l={l}, n={n}"
-    return None
-
-
-def _check_encoder_laws(rng: int):
-    upto = min(rng, 300)
-    for n in range(upto + 1):
-        xs = nadic.nat_to_nats(2, n)
-        if list(encoders.as_(encoders.LIST, encoders.LIST, xs)) != xs:
-            return f"list self-routing broke at {xs}"
-        ms = list(encoders.list_to_mset(xs))
-        if list(encoders.mset_to_list(ms)) != xs:
-            return f"mset roundtrip broke at {xs}"
-        st = list(encoders.list_to_set(xs))
-        if list(encoders.set_to_list(st)) != xs:
-            return f"set roundtrip broke at {xs}"
-        bs = list(encoders.list_to_bins(xs))
-        if list(encoders.bins_to_list(bs)) != xs:
-            return f"bins roundtrip broke at {xs}"
-    if list(encoders.list_to_bins([])) != [0]:
-        return "list_to_bins([]) is not [0]"
-    return None
-
-
-def _check_morton_table(rng: int):
-    fam = charpair.preset_family("morton")
-    want = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (3, 0), (2, 1), (3, 1), (0, 2), (1, 2), (0, 3)]
-    got = [fam.unpair(n) for n in range(11)]
-    if got != want:
-        return f"morton unpair over [0..10] = {got}"
-    if [fam.pair(x, y) for x, y in got] != list(range(11)):
-        return "morton pair does not invert the table"
-    bfam = charpair.preset_family("arith-set", 2)
-    if [bfam.unpair(n) for n in range(11)] != want:
-        return "arith-set:2 disagrees with morton"
-    return None
-
-
-def _check_preset_roundtrips(rng: int):
-    upto = min(rng, 200)
-    fams = [
-        charpair.preset_family("morton"),
-        charpair.preset_family("arith-set", 3),
-        charpair.preset_family("squares"),
-        charpair.preset_family("powers2"),
-        charpair.preset_family("syracuse"),
-        charpair.preset_family("bits-of-naturals"),
-    ]
-    for fam in fams:
-        seen = {}
-        for n in range(upto + 1):
-            p = fam.unpair(n)
-            if fam.pair(*p) != n:
-                return f"{fam.name}: pair(unpair({n})) != {n}"
-            if p in seen:
-                return f"{fam.name}: unpair not injective at {n} vs {seen[p]}"
-            seen[p] = n
-    return None
-
-
-def _check_morton_interleave(rng: int):
-    fam = charpair.preset_family("morton")
-    for x in range(32):
-        for y in range(32):
-            if fam.pair(x, y) != _interleave_bits(x, y):
-                return f"morton pair({x},{y}) != bit interleave"
-    return None
-
-
-def _check_cantor(rng: int):
-    for n in range(min(rng, 2000) + 1):
-        if charpair.cantor_pair(*charpair.cantor_unpair(n)) != n:
-            return f"cantor roundtrip broke at {n}"
-    return None
-
-
-def _check_divergence(rng: int):
-    probe = streams.Fuel(20_000, label="divergence probe")
-    zero_seed = charpair.SeedSpec(encoders.BINS, streams.cycle([0]), "cycle [0]")
-    try:
-        charpair.generic_pair(zero_seed, 10, 20, probe)
-        return "pair over the all-zero seed terminated"
-    except FuelExhausted:
-        pass
-    probe = streams.Fuel(20_000, label="divergence probe")
-    one_seed = charpair.SeedSpec(encoders.BINS, streams.cycle([1]), "cycle [1]")
-    try:
-        charpair.generic_unpair(one_seed, 42, probe)
-        return "unpair over the all-one seed terminated"
-    except FuelExhausted:
-        pass
-    return None
-
-
-_SELFTESTS = [
-    ("nadic golden values", _check_nadic_golden),
-    ("nadic roundtrips", _check_nadic_roundtrips),
-    ("permutation composition law", _check_bij_law),
-    ("encoder laws", _check_encoder_laws),
-    ("morton golden table", _check_morton_table),
-    ("preset roundtrips", _check_preset_roundtrips),
-    ("morton vs bit interleave", _check_morton_interleave),
-    ("cantor oracle", _check_cantor),
-    ("divergence detection", _check_divergence),
-]
-
-
 def _cmd_selftest(args) -> int:
-    rng = args.range
+    from . import invariants  # imported here so that no other command pays for it
+
+    rng = charpair.parse_nat(args.range, "range")
     failures = 0
-    for name, check in _SELFTESTS:
+    for name, check in invariants.SELFTESTS:
         try:
-            detail = check(rng)
+            found = check(rng)
         except PairbijError as e:
-            detail = str(e)
-        if detail is None:
-            print(f"PASS {name}")
-        else:
+            found = [str(e)]
+        if found:
             failures += 1
-            print(f"FAIL {name}: {detail}")
+            print(f"FAIL {name}: {'; '.join(found)}")
+        else:
+            print(f"PASS {name}")
     return 1 if failures else 0
 
 
@@ -363,18 +170,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("permute", help="print the base-change permutation table")
     p.add_argument("k", type=int)
     p.add_argument("l", type=int)
-    p.add_argument("upto", type=int)
+    p.add_argument("upto")
     p.set_defaults(handler=_cmd_permute)
 
     p = sub.add_parser("curve", help="export the unpairing path of 0..count")
     p.add_argument("family")
-    p.add_argument("count", type=int)
+    p.add_argument("count")
     p.add_argument("format", choices=("csv", "svg"))
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.set_defaults(handler=_cmd_curve)
 
     p = sub.add_parser("selftest", help="run the invariant suites")
-    p.add_argument("--range", type=int, default=1000, help="sample range for the sweeps")
+    p.add_argument("--range", default="1000", help="sample range for the sweeps")
     p.set_defaults(handler=_cmd_selftest)
 
     return parser

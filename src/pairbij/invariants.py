@@ -1,0 +1,286 @@
+"""The package's invariants, each defined once and parameterised by the sizes it sweeps.
+
+Every check returns the list of failures it found, empty when the invariant
+holds. The acceptance suite (tests/test_acceptance.py) runs the checks at
+full size; `pairbij selftest --range R` runs SELFTESTS, at sizes capped by R.
+"""
+
+import random
+from collections.abc import Callable, Iterable, Iterator
+from functools import wraps
+from itertools import islice
+
+from . import charpair, encoders, nadic, streams
+from .errors import FuelExhausted
+
+MORTON_TABLE = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (3, 0), (2, 1), (3, 1),
+                (0, 2), (1, 2), (0, 3)]
+
+# A broken law fails at thousands of inputs; reporting the first few is enough.
+_MAX_FAILURES = 10
+
+
+def interleave(x: int, y: int) -> int:
+    """Independent bit-interleaving oracle: x on even positions, y on odd."""
+    out = 0
+    shift = 0
+    while x or y:
+        out |= (x & 1) << shift
+        x >>= 1
+        out |= (y & 1) << (shift + 1)
+        y >>= 1
+        shift += 2
+    return out
+
+
+def _sweep(check: Callable[..., Iterator[str]]) -> Callable[..., list[str]]:
+    """Turn a generator of failure messages into a check returning the first few."""
+
+    @wraps(check)
+    def run(*sizes) -> list[str]:
+        return list(islice(check(*sizes), _MAX_FAILURES))
+
+    return run
+
+
+def _failed(cases: Iterable[tuple[bool, str]]) -> list[str]:
+    return [what for ok, what in cases if not ok]
+
+
+# -- golden values ----------------------------------------------------------------------
+
+def golden_nadic() -> list[str]:
+    """Worked values of the valuation family, its list bijection and its permutations."""
+    unpaired = [nadic.unpair(3, n) for n in range(8)]
+    want23 = [0, 1, 3, 2, 9, 5, 6, 4, 27, 14, 15, 8, 18, 10, 12, 7, 81, 41, 42,
+              22, 45, 23, 24, 13, 54, 28, 30, 16, 36, 19, 21, 11]
+    want32 = [0, 1, 3, 2, 7, 5, 6, 15, 11, 4, 13, 31, 14, 23, 9, 10, 27, 63,
+              12, 29, 47, 30, 19, 21, 22, 55, 127, 8, 25, 59, 26, 95]
+    return _failed([
+        (nadic.cons(3, 10, 20) == 1830519, "cons(3,10,20)"),
+        (nadic.decons(3, 1830519) == (10, 20), "decons(3,1830519)"),
+        (nadic.head(3, 1830519) == 10, "head(3,1830519)"),
+        (nadic.tail(3, 1830519) == 20, "tail(3,1830519)"),
+        (unpaired == [(0, 0), (0, 1), (1, 0), (0, 2), (0, 3), (1, 1), (0, 4), (0, 5)],
+         "unpair(3,.) over [0..7]"),
+        ([nadic.pair(3, x, y) for x, y in unpaired] == list(range(8)),
+         "pair(3,.) inverts the unpair table"),
+        (nadic.nat_to_nats(3, 2012) == [0, 2, 2, 0, 0, 0, 0], "nat_to_nats(3,2012)"),
+        (nadic.nats_to_nat(3, [0, 2, 2, 0, 0, 0, 0]) == 2012, "nats_to_nat back to 2012"),
+        ([nadic.bij(2, 3, n) for n in range(32)] == want23, "bij(2,3) table"),
+        ([nadic.bij(3, 2, n) for n in range(32)] == want32, "bij(3,2) table"),
+    ])
+
+
+def golden_encoders() -> list[str]:
+    """Worked values of the encoders routed through the hub."""
+    evens20 = streams.take(streams.Stream(lambda: encoders.list_to_bins(streams.arith(0, 2))), 20)
+    return _failed([
+        (encoders.as_(encoders.nadic_nat(3), encoders.LIST, [2, 0, 1, 2]) == 873,
+         "as nadic:3 list [2,0,1,2]"),
+        (encoders.as_(encoders.nadic_nat(7), encoders.LIST, [2, 0, 1, 2]) == 27146,
+         "as nadic:7 list [2,0,1,2]"),
+        (encoders.as_(encoders.NAT, encoders.LIST, [2, 0, 1, 2]) == 300, "as nat list"),
+        (list(encoders.as_(encoders.LIST, encoders.NAT, 300)) == [2, 0, 1, 2], "as list nat 300"),
+        (encoders.as_(encoders.NAT_PRIME, encoders.LIST, [2, 0, 1, 2]) == 1644,
+         "as nat-prime list [2,0,1,2]"),
+        (list(encoders.as_(encoders.LIST, encoders.NAT_PRIME, 1644)) == [2, 0, 1, 2],
+         "as list nat-prime 1644"),
+        ([encoders.as_(encoders.NAT_PRIME, encoders.NAT, n) for n in range(16)]
+         == [0, 1, 2, 3, 4, 7, 6, 5, 8, 19, 14, 15, 12, 13, 10, 9],
+         "as nat-prime nat over [0..15]"),
+        (list(encoders.list_to_bins([2, 0, 1, 2])) == [0, 0, 1, 1, 0, 1, 0, 0, 1],
+         "list_to_bins [2,0,1,2]"),
+        (list(encoders.bins_to_list([0, 0, 1, 1, 0, 1, 0, 0, 1])) == [2, 0, 1, 2],
+         "bins_to_list back"),
+        (evens20 == [1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+         "20-bit prefix of the even-numbers seed"),
+        (list(encoders.bins_to_list(evens20)) == [0, 2, 4, 6], "bins_to_list of the prefix"),
+        (list(encoders.as_(encoders.BINS, encoders.SET, [0, 2, 4, 5, 7, 8, 9]))
+         == [1, 0, 1, 0, 1, 1, 0, 1, 1, 1], "as bins set"),
+        (list(encoders.as_(encoders.SET, encoders.BINS, [1, 0, 1, 0, 1, 1, 0, 1, 1, 1]))
+         == [0, 2, 4, 5, 7, 8, 9], "as set bins back"),
+    ])
+
+
+def golden_morton() -> list[str]:
+    """The alternating guide: bsplit/bmerge on it, and the Morton table it yields."""
+    a, b = charpair.bsplit([0, 1, 0, 1, 0, 1], [10, 20, 30, 40, 50, 60])
+    sa, sb = list(a), list(b)
+    morton = charpair.family("morton")
+    got = [morton.unpair(n) for n in range(11)]
+    arith2 = charpair.family("arith-set:2")
+    return _failed([
+        ((sa, sb) == ([20, 40, 60], [10, 30, 50]), "bsplit golden example"),
+        (list(charpair.bmerge([0, 1, 0, 1, 0, 1], sa, sb)) == [10, 20, 30, 40, 50, 60],
+         "bmerge golden example"),
+        (got == MORTON_TABLE, "morton unpair over [0..10]"),
+        ([morton.pair(x, y) for x, y in got] == list(range(11)), "morton pair inverse"),
+        ([arith2.unpair(n) for n in range(11)] == MORTON_TABLE,
+         "arith-set:2 unpair identical to morton"),
+    ])
+
+
+# -- sweeps -----------------------------------------------------------------------------
+
+@_sweep
+def nadic_roundtrips(bases: Iterable[int], n_upto: int, grid: int):
+    """pair/unpair, cons/decons and the list bijection invert each other in every base."""
+    for b in bases:
+        for n in range(n_upto + 1):
+            if nadic.pair(b, *nadic.unpair(b, n)) != n:
+                yield f"pair/unpair broke at b={b}, n={n}"
+            if nadic.nats_to_nat(b, nadic.nat_to_nats(b, n)) != n:
+                yield f"nat<->nats broke at b={b}, n={n}"
+            if n > 0 and nadic.cons(b, *nadic.decons(b, n)) != n:
+                yield f"cons/decons broke at b={b}, z={n}"
+        for x in range(grid):
+            for y in range(grid):
+                if nadic.unpair(b, nadic.pair(b, x, y)) != (x, y):
+                    yield f"unpair(pair) broke at b={b}, ({x},{y})"
+                if nadic.decons(b, nadic.cons(b, x, y)) != (x, y):
+                    yield f"decons(cons) broke at b={b}, ({x},{y})"
+
+
+@_sweep
+def valuation_oracles(z_upto: int, x_upto: int, y_upto: int):
+    """Base 2 against independent oracles: valuation bit tricks, a closed form, bin()."""
+    for z in range(1, z_upto + 1):
+        if nadic.head(2, z) != (z & -z).bit_length() - 1:
+            yield f"2-adic valuation oracle broke at {z}"
+        if list(encoders.as_(encoders.BINS, encoders.NAT, z)) != [int(c) for c in bin(z)[2:]][::-1]:
+            yield f"binary expansion oracle broke at {z}"
+    for x in range(x_upto):
+        for y in range(y_upto):
+            if nadic.pair(2, x, y) != 2**x * (2 * y + 1) - 1:
+                yield f"closed form broke at ({x},{y})"
+
+
+@_sweep
+def bij_law(bases: Iterable[int], n_upto: int):
+    """bij(l, k) inverts bij(k, l) for every pair of bases, and bij(2, 3) is injective."""
+    bases = list(bases)
+    for k in bases:
+        for l in bases:
+            for n in range(n_upto + 1):
+                if nadic.bij(l, k, nadic.bij(k, l, n)) != n:
+                    yield f"bij law broke at k={k}, l={l}, n={n}"
+    if len({nadic.bij(2, 3, n) for n in range(n_upto + 1)}) != n_upto + 1:
+        yield f"bij(2,3) image over [0..{n_upto}] has duplicates"
+
+
+@_sweep
+def family_roundtrips(specs: Iterable[str], n_upto: int, grid: int):
+    """Each family's pair and unpair invert each other, and unpair is injective."""
+    for spec in specs:
+        fam = charpair.family(spec)
+        try:
+            seen: dict[tuple[int, int], int] = {}
+            for n in range(n_upto + 1):
+                p = fam.unpair(n)
+                if fam.pair(*p) != n:
+                    yield f"{fam.name}: pair(unpair({n})) = {fam.pair(*p)}"
+                if seen.setdefault(p, n) != n:
+                    yield f"{fam.name}: unpair not injective at {n} vs {seen[p]}"
+            for x in range(grid):
+                for y in range(grid):
+                    if fam.unpair(fam.pair(x, y)) != (x, y):
+                        yield f"{fam.name}: unpair(pair({x},{y})) != ({x},{y})"
+        except FuelExhausted as e:
+            # an all-one characteristic function admits no second component;
+            # arith-set:1 resolves to exactly that and cannot round-trip
+            yield f"{fam.name}: {e}"
+
+
+@_sweep
+def morton_interleave(grid: int):
+    """The Morton family pairs by bit interleaving."""
+    morton = charpair.family("morton")
+    for x in range(grid):
+        for y in range(grid):
+            if morton.pair(x, y) != interleave(x, y):
+                yield f"morton/interleave mismatch at ({x},{y})"
+
+
+@_sweep
+def divergence(fuel_budget: int):
+    """A guide that starves one side runs out of fuel instead of returning or hanging."""
+    zero_seed = charpair.SeedSpec(encoders.BINS, streams.cycle([0]), "cycle [0]")
+    try:
+        got = charpair.generic_pair(zero_seed, 10, 20, streams.Fuel(fuel_budget))
+        yield f"pair over cycle [0] returned {got} instead of failing"
+    except FuelExhausted:
+        pass
+    one_seed = charpair.SeedSpec(encoders.BINS, streams.cycle([1]), "cycle [1]")
+    try:
+        got = charpair.generic_unpair(one_seed, 42, streams.Fuel(fuel_budget))
+        yield f"unpair over cycle [1] returned {got} instead of failing"
+    except FuelExhausted:
+        pass
+
+
+@_sweep
+def encoder_laws(iso_values: int, lists: int):
+    """Groupoid laws of Iso composition, and each hub encoder inverting both ways.
+
+    The lists are drawn from a fixed seed, so every run sweeps the same inputs.
+    """
+    ff = encoders.Iso(lambda x: x + 1, lambda x: x - 1)
+    gg = encoders.Iso(lambda x: 2 * x, lambda x: x // 2)
+    hh = encoders.Iso(lambda x: x + 10, lambda x: x - 10)
+    left = encoders.compose(encoders.compose(ff, gg), hh)
+    right = encoders.compose(ff, encoders.compose(gg, hh))
+    ident = encoders.compose(ff, encoders.invert(ff))
+    neutral = encoders.compose(encoders.identity, gg)
+    for v in range(iso_values):
+        if left.forward(v) != right.forward(v):
+            yield f"associativity at {v}"
+        if ident.forward(v) != v or ident.backward(v) != v:
+            yield f"inverse law at {v}"
+        if neutral.forward(v) != gg.forward(v):
+            yield f"identity law at {v}"
+
+    rng = random.Random(20120814)
+    for _ in range(lists):
+        xs = [rng.randrange(200) for _ in range(rng.randrange(25))]
+        if list(encoders.as_(encoders.LIST, encoders.LIST, xs)) != xs:
+            yield f"list self-routing broke on {xs}"
+        if list(encoders.mset_to_list(encoders.list_to_mset(xs))) != xs:
+            yield f"list->mset->list broke on {xs}"
+        if list(encoders.set_to_list(encoders.list_to_set(xs))) != xs:
+            yield f"list->set->list broke on {xs}"
+        if list(encoders.bins_to_list(encoders.list_to_bins(xs))) != xs:
+            yield f"list->bins->list broke on {xs}"
+        ms = sorted(xs)
+        if list(encoders.list_to_mset(encoders.mset_to_list(ms))) != ms:
+            yield f"mset->list->mset broke on {ms}"
+        st = sorted(set(xs))
+        if list(encoders.list_to_set(encoders.set_to_list(st))) != st:
+            yield f"set->list->set broke on {st}"
+        bits = [rng.randrange(2) for _ in range(rng.randrange(25))] + [1]
+        if list(encoders.list_to_bins(encoders.bins_to_list(bits))) != bits:
+            yield f"bins->list->bins broke on {bits}"
+
+    if list(encoders.list_to_bins([])) != [0]:
+        yield "list_to_bins([]) != [0]"
+
+
+# -- the CLI selftest -------------------------------------------------------------------
+
+SELFTEST_FAMILIES = ("morton", "arith-set:3", "squares", "powers2", "syracuse",
+                     "bits-of-naturals")
+
+# Name and check at `--range r`. Sizes grow with r, mostly capped below the
+# acceptance sizes so that the command stays quick; fixed sizes do not shrink.
+SELFTESTS: list[tuple[str, Callable[[int], list[str]]]] = [
+    ("nadic golden values", lambda r: golden_nadic()),
+    ("nadic roundtrips", lambda r: nadic_roundtrips((2, 3, 7, 16), r, min(r, 16))
+        + valuation_oracles(min(r, 10_000), min(r, 21), min(r, 41))),
+    ("permutation composition law", lambda r: bij_law(range(2, 6), min(r, 200))),
+    ("encoder laws", lambda r: golden_encoders() + encoder_laws(min(r, 50), min(r, 300) + 1)),
+    ("morton golden table", lambda r: golden_morton()),
+    ("preset roundtrips", lambda r: family_roundtrips(SELFTEST_FAMILIES, min(r, 200), min(r, 8))),
+    ("morton vs bit interleave", lambda r: morton_interleave(32)),
+    ("cantor oracle", lambda r: family_roundtrips(["cantor"], min(r, 2000), min(r, 50))),
+    ("divergence detection", lambda r: divergence(20_000)),
+]

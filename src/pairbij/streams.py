@@ -44,16 +44,12 @@ class Fuel:
 
 
 class Stream:
-    """Description of a (possibly infinite) sequence of naturals.
+    """Description of a (possibly infinite) sequence of naturals."""
 
-    finite_hint is advisory; correctness never depends on it.
-    """
+    __slots__ = ("_make_iter",)
 
-    __slots__ = ("_make_iter", "finite_hint")
-
-    def __init__(self, make_iter: Callable[[], Iterator[int]], finite_hint: int | None = None):
+    def __init__(self, make_iter: Callable[[], Iterator[int]]):
         self._make_iter = make_iter
-        self.finite_hint = finite_hint
 
     def __iter__(self) -> Iterator[int]:
         return self._make_iter()
@@ -62,7 +58,7 @@ class Stream:
 def from_list(xs: Iterable[int]) -> Stream:
     """A finite stream yielding exactly the elements of xs, in order."""
     frozen = tuple(xs)
-    return Stream(lambda: iter(frozen), finite_hint=len(frozen))
+    return Stream(lambda: iter(frozen))
 
 
 def cycle(xs: Iterable[int]) -> Stream:
@@ -99,8 +95,7 @@ def smap(f: Callable[[int], int], s: Iterable[int]) -> Stream:
         for x in s:
             yield f(x)
 
-    hint = s.finite_hint if isinstance(s, Stream) else None
-    return Stream(gen, finite_hint=hint)
+    return Stream(gen)
 
 
 def take(s: Iterable[int], n: int) -> list[int]:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,24 +10,10 @@ from pairbij.errors import (
     FuelExhausted,
     GuideExhausted,
     InvalidBit,
+    UnknownEncoder,
     UnknownPreset,
 )
-
-MORTON_TABLE = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (3, 0), (2, 1), (3, 1),
-                (0, 2), (1, 2), (0, 3)]
-
-
-def interleave(x: int, y: int) -> int:
-    """Independent bit-interleaving oracle: x on even positions, y on odd."""
-    out = 0
-    shift = 0
-    while x or y:
-        out |= (x & 1) << shift
-        x >>= 1
-        out |= (y & 1) << (shift + 1)
-        y >>= 1
-        shift += 2
-    return out
+from pairbij.invariants import MORTON_TABLE, interleave
 
 
 # -- bsplit ------------------------------------------------------------------------
@@ -357,3 +346,35 @@ def test_squares_roundtrip_property(n):
 def test_syracuse_pair_roundtrip_property(x, y):
     fam = charpair.preset_family("syracuse")
     assert fam.unpair(fam.pair(x, y)) == (x, y)
+
+
+@pytest.mark.parametrize("encoder", ["nat", "nat-prime", "nadic:3"])
+def test_seed_file_rejects_int_encoders(tmp_path, encoder):
+    path = tmp_path / "s.bits"
+    path.write_text("1010")
+    with pytest.raises(UnknownEncoder, match="list, mset, set, bins"):
+        charpair.seed_from_file(path, encoder)
+
+
+# -- threads ---------------------------------------------------------------------------
+
+def test_shared_family_across_threads():
+    fam = charpair.family("squares")
+    serial = [fam.unpair(n) for n in range(500)]
+    results = [None] * 4
+
+    def work(i):
+        results[i] = [fam.unpair(n) for n in range(500)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4

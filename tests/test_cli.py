@@ -1,6 +1,7 @@
 import pytest
 
-from pairbij import cli
+from pairbij import charpair, cli
+from pairbij.errors import PairbijError
 
 MORTON_CSV = "n,x,y\n0,0,0\n1,1,0\n2,0,1\n3,1,1\n"
 
@@ -234,10 +235,62 @@ def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest", "--range", "50")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines
-    assert all(line.startswith("PASS") for line in lines)
+    assert lines == [f"PASS {name}" for name in (
+        "nadic golden values", "nadic roundtrips", "permutation composition law",
+        "encoder laws", "morton golden table", "preset roundtrips",
+        "morton vs bit interleave", "cantor oracle", "divergence detection")]
 
 
 def test_selftest_range_zero(capsys):
     code, out, _ = run(capsys, "selftest", "--range", "0")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "morton", "-3", "csv"],
+    ["permute", "2", "3", "-1"],
+    ["selftest", "--range", "-1"],
+])
+def test_negative_count_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
+@pytest.mark.parametrize("encoder", ["nat", "nat-prime", "nadic:3"])
+def test_seed_file_int_encoder_exits_2(tmp_path, capsys, encoder):
+    path = tmp_path / "s.bits"
+    path.write_text("1010101010")
+    code, _, err = run(capsys, "pair", f"seed-file:{path}:{encoder}", "1", "2")
+    assert code == 2
+    assert f"got {encoder!r}" in err
+    assert "list, mset, set, bins" in err
+
+
+# Every form of the family-spec grammar; <p> stands for a seed file.
+GRAMMAR_FORMS = ["nadic:5", "morton", "squares", "powers2", "syracuse", "bits-of-naturals",
+                 "arith-set:4", "cantor", "seed-file:<p>", "seed-file:<p>:list"]
+
+
+@pytest.mark.parametrize("form", GRAMMAR_FORMS + [f + ",xor:9" for f in GRAMMAR_FORMS])
+def test_family_registry_matches_cli(tmp_path, capsys, form):
+    path = tmp_path / "s.bits"
+    path.write_text("1011010" * 40)
+    spec = form.replace("<p>", str(path))
+    fam = charpair.family(spec)
+    for n in range(201):
+        x, y = fam.unpair(n)
+        assert fam.pair(x, y) == n
+        if n % 25 == 0:
+            assert run(capsys, "unpair", spec, str(n))[1] == f"{x} {y}\n"
+            assert run(capsys, "pair", spec, str(x), str(y))[1] == f"{n}\n"
+
+
+@pytest.mark.parametrize("spec", ["morton:3", "cantor:2", "arith-set", "nadic", "nadic:1",
+                                  "nadic:x", "hilbert", "morton,rot:3", "seed-file:<p>:nat"])
+def test_family_registry_rejects(tmp_path, spec):
+    path = tmp_path / "s.bits"
+    path.write_text("10" * 20)
+    with pytest.raises(PairbijError):
+        charpair.family(spec.replace("<p>", str(path)))

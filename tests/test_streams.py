@@ -17,10 +17,6 @@ def test_from_list_ordering():
     assert next(it) == 10
 
 
-def test_from_list_finite_hint():
-    assert streams.from_list([7, 8]).finite_hint == 2
-
-
 @pytest.mark.parametrize(
     "xs,n,want",
     [
