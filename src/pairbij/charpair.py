@@ -347,9 +347,19 @@ def preset_family(name: str, k: int | None = None,
 
 
 def read_seed_bits(path: str | Path) -> list[int]:
-    """Read a seed file of ASCII 0/1 characters, ignoring whitespace."""
+    """Read a seed file of ASCII 0/1 characters, ignoring whitespace.
+
+    A file that cannot be read, or is not text, raises a PairbijError naming it.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise PairbijError(f"cannot read seed file {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise InvalidBit(f"seed file {path}: not text, byte {e.object[e.start]:#04x}"
+                         f" at offset {e.start}") from None
     bits = []
-    for i, ch in enumerate(Path(path).read_text()):
+    for i, ch in enumerate(text):
         if ch.isspace():
             continue
         if ch in "01":
@@ -452,13 +462,19 @@ def family(spec: str, fuel_budget: int = streams.DEFAULT_FUEL) -> PairingFamily:
     A spec is one of nadic:<b>, cantor, arith-set:<k>, seed-file:<path>[:<encoder>]
     or a parameterless preset (morton, squares, powers2, syracuse,
     bits-of-naturals), followed by any number of ,xor:<mask> modifiers.
+    Modifiers are peeled from the right, so a seed-file path may hold commas
+    as long as no comma in it is followed by "xor:".
     Malformed specs raise a PairbijError subclass.
     """
-    head, *mods = spec.split(",")
+    head, masks = spec, []
+    rest, comma, mod = head.rpartition(",")
+    while comma and mod.startswith("xor:"):
+        masks.append(parse_nat(mod[4:], "xor mask"))
+        head = rest
+        rest, comma, mod = head.rpartition(",")
+    if comma and not head.startswith("seed-file:"):
+        raise PairbijError(f"unknown family modifier {mod!r}")
     fam = _base_family(head, fuel_budget)
-    for mod in mods:
-        if mod.startswith("xor:"):
-            fam = twist_family(fam, parse_nat(mod[4:], "xor mask"))
-        else:
-            raise PairbijError(f"unknown family modifier {mod!r}")
+    for mask in reversed(masks):
+        fam = twist_family(fam, mask)
     return fam

@@ -112,7 +112,10 @@ def _cmd_curve(args) -> int:
     points = _curve_points(fam, charpair.parse_nat(args.count, "count"))
     text = _render_csv(points) if args.format == "csv" else _render_svg(points)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            raise PairbijError(f"cannot write {args.out}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
     return 0

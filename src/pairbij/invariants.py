@@ -142,10 +142,26 @@ def nadic_roundtrips(bases: Iterable[int], n_upto: int, grid: int):
                     yield f"decons(cons) broke at b={b}, ({x},{y})"
 
 
+def decons_by_division(b: int, z: int) -> tuple[int, int]:
+    """Reference decons for positive z: divide out one factor of b per step."""
+    x = 0
+    while z % b == 0:
+        z //= b
+        x += 1
+    return x, z - z // b - 1
+
+
 @_sweep
 def valuation_oracles(z_upto: int, x_upto: int, y_upto: int):
-    """Base 2 against independent oracles: valuation bit tricks, a closed form, bin()."""
+    """Base 2 against independent oracles: repeated division, the lowest set bit,
+    a closed form, bin().
+
+    decons(2, .) takes the lowest set bit itself, so the division loop is the
+    reference that shares no step with it.
+    """
     for z in range(1, z_upto + 1):
+        if nadic.decons(2, z) != decons_by_division(2, z):
+            yield f"2-adic decons broke against repeated division at {z}"
         if nadic.head(2, z) != (z & -z).bit_length() - 1:
             yield f"2-adic valuation oracle broke at {z}"
         if list(encoders.as_(encoders.BINS, encoders.NAT, z)) != [int(c) for c in bin(z)[2:]][::-1]:

@@ -30,6 +30,13 @@ def decons(b: int, z: int) -> tuple[int, int]:
     _check_base(b)
     if z <= 0:
         raise ZeroArgument(f"decons is defined on positive naturals, got {z}")
+    if b == 2:
+        # The 2-adic valuation is the index of the lowest set bit: one pass over
+        # z instead of one division per factor. Odd z, the common case, skips z & -z.
+        if z & 1:
+            return 0, z >> 1
+        x = (z & -z).bit_length() - 1
+        return x, z >> (x + 1)
     x = 0
     while z % b == 0:
         z //= b

@@ -224,6 +224,31 @@ def test_seed_file_family(tmp_path, capsys):
     assert out.strip() == "0 3"
 
 
+@pytest.mark.parametrize("name", ["missing.bits", "."], ids=["missing", "directory"])
+def test_unreadable_seed_file_exits_2(tmp_path, capsys, name):
+    path = tmp_path / name
+    code, out, err = run(capsys, "unpair", f"seed-file:{path}", "3")
+    assert code == 2
+    assert out == ""
+    assert f"cannot read seed file {path}" in err
+
+
+def test_binary_seed_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.bits"
+    path.write_bytes(b"10\xff\xfe10")
+    code, _, err = run(capsys, "unpair", f"seed-file:{path}", "3")
+    assert code == 2
+    assert f"seed file {path}: not text, byte 0xff at offset 2" in err
+
+
+def test_curve_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "x.csv"
+    code, out, err = run(capsys, "curve", "morton", "5", "csv", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write {path}" in err
+
+
 def test_seed_file_exhaustion_exits_2(tmp_path, capsys):
     path = tmp_path / "tiny.bits"
     path.write_text("10")
@@ -268,16 +293,20 @@ def test_seed_file_int_encoder_exits_2(tmp_path, capsys, encoder):
     assert "list, mset, set, bins" in err
 
 
-# Every form of the family-spec grammar; <p> stands for a seed file.
+# Every form of the family-spec grammar; <p> stands for a seed file, and <a,b>
+# for one whose name holds a comma.
 GRAMMAR_FORMS = ["nadic:5", "morton", "squares", "powers2", "syracuse", "bits-of-naturals",
-                 "arith-set:4", "cantor", "seed-file:<p>", "seed-file:<p>:list"]
+                 "arith-set:4", "cantor", "seed-file:<p>", "seed-file:<p>:list",
+                 "seed-file:<a,b>"]
 
 
 @pytest.mark.parametrize("form", GRAMMAR_FORMS + [f + ",xor:9" for f in GRAMMAR_FORMS])
 def test_family_registry_matches_cli(tmp_path, capsys, form):
-    path = tmp_path / "s.bits"
-    path.write_text("1011010" * 40)
-    spec = form.replace("<p>", str(path))
+    spec = form
+    for stand_in, name in (("<p>", "s.bits"), ("<a,b>", "a,b.bits")):
+        path = tmp_path / name
+        path.write_text("1011010" * 40)
+        spec = spec.replace(stand_in, str(path))
     fam = charpair.family(spec)
     for n in range(201):
         x, y = fam.unpair(n)
@@ -288,7 +317,8 @@ def test_family_registry_matches_cli(tmp_path, capsys, form):
 
 
 @pytest.mark.parametrize("spec", ["morton:3", "cantor:2", "arith-set", "nadic", "nadic:1",
-                                  "nadic:x", "hilbert", "morton,rot:3", "seed-file:<p>:nat"])
+                                  "nadic:x", "hilbert", "morton,rot:3", "morton,xor:7,rot:3",
+                                  "seed-file:<p>:nat"])
 def test_family_registry_rejects(tmp_path, spec):
     path = tmp_path / "s.bits"
     path.write_text("10" * 20)

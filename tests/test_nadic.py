@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from pairbij import nadic, streams
 from pairbij.errors import InvalidBase, ZeroArgument
+from pairbij.invariants import decons_by_division
 
 
 def val2_oracle(z: int) -> int:
@@ -41,6 +42,18 @@ def test_head_is_valuation():
     assert nadic.head(2, 1) == 0
     for z in range(1, 3000):
         assert nadic.head(2, z) == val2_oracle(z)
+        assert nadic.decons(2, z) == decons_by_division(2, z)
+
+
+@given(st.integers(min_value=0, max_value=2**1999 - 1), st.integers(min_value=0, max_value=3000))
+def test_decons_base2_matches_division_property(k, v):
+    z = 2**v * (2 * k + 1)
+    assert nadic.decons(2, z) == decons_by_division(2, z)
+
+
+def test_unpair_base2_huge_valuation():
+    for y in (0, 1, 12345, 2**70 + 3):
+        assert nadic.unpair(2, nadic.pair(2, 10**5, y)) == (10**5, y)
 
 
 def test_unpair_table_base3():
