@@ -7,6 +7,7 @@ path serves finite lists and infinite streams.
 """
 
 from collections.abc import Callable, Iterable, Iterator
+from itertools import accumulate
 
 from . import nadic, streams
 from .errors import (
@@ -65,10 +66,7 @@ def as_(target: Encoder, source: Encoder, x):
 
 def list_to_mset(ns: Iterable[int]) -> Iterator[int]:
     """Prefix sums: hub list -> non-decreasing multiset."""
-    total = 0
-    for n in ns:
-        total += n
-        yield total
+    return accumulate(ns)
 
 
 def mset_to_list(xs: Iterable[int]) -> Iterator[int]:

@@ -9,6 +9,7 @@ the result exponentially, so results grow huge by design.
 """
 
 from collections.abc import Iterable
+from itertools import islice
 
 from .errors import InvalidBase, ZeroArgument
 
@@ -21,6 +22,8 @@ def _check_base(b: int) -> None:
 def cons(b: int, x: int, y: int) -> int:
     """Pack (x, y) into a positive natural: b**x times the y-th non-multiple of b."""
     _check_base(b)
+    if x < 0 or y < 0:
+        raise ZeroArgument(f"cons is defined on naturals, got x={x}, y={y}")
     q = y // (b - 1)
     return b**x * (y + q + 1)
 
@@ -118,13 +121,9 @@ def nat_to_nats_mixed(bases: Iterable[int], n: int) -> list[int]:
 def nats_to_nat_mixed(bases: Iterable[int], xs: Iterable[int]) -> int:
     """Inverse of nat_to_nats_mixed against the same base stream."""
     vals = list(xs)
-    bs = []
-    bases_it = iter(bases)
-    for _ in vals:
-        try:
-            bs.append(next(bases_it))
-        except StopIteration:
-            raise InvalidBase("base stream ended before the fold finished") from None
+    bs = list(islice(bases, len(vals)))
+    if len(bs) < len(vals):
+        raise InvalidBase("base stream ended before the fold finished")
     n = 0
     for b, x in zip(reversed(bs), reversed(vals)):
         n = cons(b, x, n)

@@ -6,8 +6,8 @@ lists in a strict language -- pairing operations re-traverse the same seed
 on every call, so descriptions must be cheap to restart and safe to share.
 """
 
+import itertools
 from collections.abc import Callable, Iterable, Iterator
-from itertools import islice
 
 from .errors import EmptyCycle, FuelExhausted, ZeroStep
 
@@ -66,40 +66,23 @@ def cycle(xs: Iterable[int]) -> Stream:
     frozen = tuple(xs)
     if not frozen:
         raise EmptyCycle("cannot cycle an empty list")
-
-    def gen() -> Iterator[int]:
-        while True:
-            yield from frozen
-
-    return Stream(gen)
+    return Stream(lambda: itertools.cycle(frozen))
 
 
 def arith(start: int, step: int) -> Stream:
     """The infinite arithmetic progression start, start+step, start+2*step, ..."""
     if step == 0:
         raise ZeroStep("arithmetic stream needs step >= 1")
-
-    def gen() -> Iterator[int]:
-        n = start
-        while True:
-            yield n
-            n += step
-
-    return Stream(gen)
+    return Stream(lambda: itertools.count(start, step))
 
 
 def smap(f: Callable[[int], int], s: Iterable[int]) -> Stream:
     """Apply f element-wise, lazily; pulling n results pulls s exactly n times."""
-
-    def gen() -> Iterator[int]:
-        for x in s:
-            yield f(x)
-
-    return Stream(gen)
+    return Stream(lambda: map(f, s))
 
 
 def take(s: Iterable[int], n: int) -> list[int]:
     """The first min(n, length) elements as a list."""
     if n < 0:
         raise ValueError(f"cannot take {n} elements")
-    return list(islice(iter(s), n))
+    return list(itertools.islice(iter(s), n))

@@ -12,6 +12,7 @@ from pairbij.errors import (
     InvalidBit,
     UnknownEncoder,
     UnknownPreset,
+    ZeroArgument,
 )
 from pairbij.invariants import MORTON_TABLE, interleave
 
@@ -51,6 +52,29 @@ def test_bsplit_rejects_non_bits():
     a, b = charpair.bsplit([2], [5])
     with pytest.raises(InvalidBit):
         list(a)
+
+
+def test_bsplit_guide_exhausted_reaches_both_sides():
+    a, b = charpair.bsplit([1], [5, 6])
+    with pytest.raises(GuideExhausted, match=r"element 6 \(position 1\)"):
+        list(a)
+    with pytest.raises(GuideExhausted, match=r"element 6 \(position 1\)"):
+        list(b)
+
+
+def test_bsplit_invalid_bit_reaches_both_sides():
+    # 6 and 7 come after the bad bit: neither side may end as if the split were complete
+    a, b = charpair.bsplit([1, 2, 1], [5, 6, 7])
+    with pytest.raises(InvalidBit):
+        list(a)
+    with pytest.raises(InvalidBit):
+        list(b)
+    a, b = charpair.bsplit([1, 2, 1], [5, 6, 7])
+    with pytest.raises(InvalidBit):
+        list(b)
+    assert next(a) == 5
+    with pytest.raises(InvalidBit):
+        next(a)
 
 
 # -- bmerge ------------------------------------------------------------------------
@@ -296,6 +320,18 @@ def test_cantor_roundtrips():
             assert charpair.cantor_unpair(charpair.cantor_pair(x, y)) == (x, y)
     for n in range(3000):
         assert charpair.cantor_pair(*charpair.cantor_unpair(n)) == n
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f.pair(-1, 0),
+    lambda f: f.pair(0, -1),
+    lambda f: f.unpair(-1),
+])
+@pytest.mark.parametrize("spec", ["cantor", "nadic:2", "nadic:3"])
+def test_family_rejects_negatives(spec, call):
+    # unchecked, cantor_pair(-1, 0) aliases cantor_pair(0, 0) and nadic:2 pairs (-1, 0) to -0.5
+    with pytest.raises(ZeroArgument, match="defined on naturals"):
+        call(charpair.family(spec))
 
 
 def test_twist_zero_mask_is_identity():

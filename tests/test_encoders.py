@@ -8,6 +8,7 @@ from pairbij.errors import (
     NotNonDecreasing,
     NotStrictlyIncreasing,
     UnknownEncoder,
+    ZeroArgument,
 )
 
 nat_lists = st.lists(st.integers(min_value=0, max_value=500), max_size=30)
@@ -141,6 +142,12 @@ def test_as_nat_golden_values():
 def test_nat_prime_golden_values():
     assert encoders.as_(encoders.NAT_PRIME, encoders.LIST, [2, 0, 1, 2]) == 1644
     assert list(encoders.as_(encoders.LIST, encoders.NAT_PRIME, 1644)) == [2, 0, 1, 2]
+
+
+@pytest.mark.parametrize("name", ["nat", "nat-prime", "nadic:2", "nadic:7"])
+def test_nat_encoders_reject_negative_elements(name):
+    with pytest.raises(ZeroArgument):
+        encoders.as_(encoders.by_name(name), encoders.LIST, [2, -1])
 
 
 def test_bins_of_zero():

@@ -183,6 +183,21 @@ def test_decons_zero_raises():
         nadic.decons(2, 0)
 
 
+@pytest.mark.parametrize("fn", [
+    lambda: nadic.cons(3, -2, 1),
+    lambda: nadic.cons(2, 0, -1),
+    lambda: nadic.pair(2, -1, 0),
+    lambda: nadic.pair(3, 0, -5),
+    lambda: nadic.nats_to_nat(2, [-1]),
+    lambda: nadic.nats_to_nat(3, [0, -1, 2]),
+    lambda: nadic.nats_to_nat_mixed(streams.arith(2, 1), [1, -1]),
+])
+def test_negative_arguments_raise(fn):
+    # unchecked, these give floats (-0.5, 0.222...) or negatives (-8): not exact naturals
+    with pytest.raises(ZeroArgument, match="defined on naturals"):
+        fn()
+
+
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10**30))
 def test_pair_roundtrip_property(b, n):
     assert nadic.pair(b, *nadic.unpair(b, n)) == n
