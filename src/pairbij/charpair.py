@@ -7,8 +7,8 @@ split the same way. Any seed whose guide keeps alternating between ones and
 zeros in finite blocks yields a bijection; degenerate seeds make the process
 diverge, which fuel turns into a FuelExhausted error instead of a hang.
 
-Guides are routed by three loops that stay apart on purpose: bmerge, bsplit,
-and the inline loops of generic_pair and generic_unpair.
+Guides are routed in four places that stay apart on purpose: bmerge, bsplit,
+the inline loops of generic_pair and generic_unpair, and guide.GuidePrefix.
   - bmerge's singleton endings emit the last element without consulting the
     guide, and its golden values depend on that; generic_pair's padding must
     respect positions past the end of one side, so it cannot take those
@@ -17,6 +17,12 @@ and the inline loops of generic_pair and generic_unpair.
     padded by an end marker, was 23-87% slower per unpair than the inline
     loop (morton at 16-1024 bits, squares at 16-64 bits; one-off best-of-5
     timings, Python 3.11 on a 2-core x86-64 host).
+  - The inline loops read a plain SeedSpec's guide from position 0 on every
+    call. They are the reference that GuidePrefix is tested against, and they
+    serve direct callers. A family reads its guide once into a GuidePrefix,
+    which routes each call's bits by slicing whole runs of equal bits. It has
+    a module of its own: compiled inside this one, without a bytecode cache,
+    it raised the peak memory of importing charpair by about 0.5 MB.
 """
 
 from collections import deque
@@ -35,6 +41,7 @@ from .errors import (
     UnknownPreset,
     ZeroArgument,
 )
+from .guide import UNDELIMITED, UNPLACED, GuidePrefix, exhausted
 
 
 def _nat_to_bits(n: int) -> list[int]:
@@ -66,7 +73,8 @@ def _route(guide: Iterable[int], ns: Iterable[int]) -> Iterator[tuple]:
             bit = next(bits, None)
             if bit is None:
                 raise GuideExhausted(
-                    f"split guide provides no guidance at element {n} (position {pos})"
+                    f"split guide provides no guidance at element {n} (position {pos})",
+                    position=pos,
                 )
             yield bit, n
     except PairbijError as e:
@@ -151,7 +159,8 @@ def bmerge(guide: Iterable[int], xs: Iterable[int], ys: Iterable[int]) -> Iterat
             bit = next(bits)
         except StopIteration:
             raise GuideExhausted(
-                f"merge guide ended after {used} bits with elements remaining"
+                f"merge guide ended after {used} bits with elements remaining",
+                position=used,
             ) from None
         used += 1
         yield a.pop() if bit == 1 else b.pop()
@@ -163,8 +172,10 @@ def bmerge(guide: Iterable[int], xs: Iterable[int], ys: Iterable[int]) -> Iterat
 class SeedSpec:
     """A characteristic function given as a value under a named encoder.
 
-    The payload is a restartable description (a Stream or any reiterable);
-    every pair/unpair call resolves the guide afresh from position zero.
+    The payload is a restartable description (a Stream or any reiterable).
+    generic_pair and generic_unpair given a SeedSpec read its guide afresh
+    from position zero on every call; a family reads it once, into a
+    GuidePrefix.
     """
 
     encoder: encoders.Encoder
@@ -184,7 +195,7 @@ class SeedSpec:
         return fuel.meter(encoders.list_to_bins(self.encoder.forward(src)))
 
 
-def _fresh_fuel(seed: SeedSpec, fuel: streams.Fuel | None) -> streams.Fuel:
+def _fresh_fuel(seed: SeedSpec | GuidePrefix, fuel: streams.Fuel | None) -> streams.Fuel:
     if fuel is not None:
         return fuel
     return streams.Fuel(label=f"seed {seed.label}")
@@ -192,7 +203,8 @@ def _fresh_fuel(seed: SeedSpec, fuel: streams.Fuel | None) -> streams.Fuel:
 
 # -- the generic construction ------------------------------------------------------
 
-def generic_pair(seed: SeedSpec, x: int, y: int, fuel: streams.Fuel | None = None) -> int:
+def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
+                 fuel: streams.Fuel | None = None) -> int:
     """Pair (x, y) under the seed's characteristic function.
 
     The bit form of x is written onto the guide's one-positions in order, the
@@ -203,11 +215,14 @@ def generic_pair(seed: SeedSpec, x: int, y: int, fuel: streams.Fuel | None = Non
     break invertibility whenever the guide has runs longer than one.
 
     Raises FuelExhausted if the seed starves one side (no finite blocks),
-    GuideExhausted if a finite seed runs out.
+    GuideExhausted if a finite seed runs out. Given a GuidePrefix, it answers
+    from the prefix's runs, with the same results and errors.
     """
     fuel = _fresh_fuel(seed, fuel)
     xs = _nat_to_bits(x)
     ys = _nat_to_bits(y)
+    if isinstance(seed, GuidePrefix):
+        return _bits_to_nat(seed.merge(xs, ys, fuel))
     ix = iy = 0
     merged: list[int] = []
     bits = seed.bits(fuel)
@@ -215,10 +230,7 @@ def generic_pair(seed: SeedSpec, x: int, y: int, fuel: streams.Fuel | None = Non
         try:
             bit = next(bits)
         except StopIteration:
-            raise GuideExhausted(
-                f"guide of seed {seed.label} ended at position {len(merged)}"
-                f" with bits left to place"
-            ) from None
+            raise exhausted(seed.label, len(merged), UNPLACED) from None
         if bit == 1:
             if ix < len(xs):
                 merged.append(xs[ix])
@@ -234,7 +246,8 @@ def generic_pair(seed: SeedSpec, x: int, y: int, fuel: streams.Fuel | None = Non
     return _bits_to_nat(merged)
 
 
-def generic_unpair(seed: SeedSpec, n: int, fuel: streams.Fuel | None = None) -> tuple[int, int]:
+def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
+                   fuel: streams.Fuel | None = None) -> tuple[int, int]:
     """Split n under the seed's characteristic function; inverse of generic_pair.
 
     The bit form of n is read as a prefix of an infinite sequence padded with
@@ -242,10 +255,14 @@ def generic_unpair(seed: SeedSpec, n: int, fuel: streams.Fuel | None = None) -> 
     complete once the guide routes it a first beyond-payload bit -- so the
     guide must keep offering both ones and zeros, and a seed that never again
     yields one of them diverges (caught by fuel) exactly like the merge
-    direction does.
+    direction does. Given a GuidePrefix, it answers from the prefix's runs,
+    with the same results and errors.
     """
     fuel = _fresh_fuel(seed, fuel)
     payload = _nat_to_bits(n)
+    if isinstance(seed, GuidePrefix):
+        ones, zeros = seed.split(payload, fuel)
+        return _bits_to_nat(ones), _bits_to_nat(zeros)
     length = len(payload)
     collected: tuple[list[int], list[int]] = ([], [])
     open_sides = [True, True]
@@ -259,10 +276,7 @@ def generic_unpair(seed: SeedSpec, n: int, fuel: streams.Fuel | None = None) -> 
             if not open_sides[1 - side]:
                 return _bits_to_nat(collected[0]), _bits_to_nat(collected[1])
         pos += 1
-    raise GuideExhausted(
-        f"guide of seed {seed.label} ended at position {pos}"
-        f" before both components were delimited"
-    )
+    raise exhausted(seed.label, pos, UNDELIMITED)
 
 
 # -- named families ----------------------------------------------------------------
@@ -278,13 +292,18 @@ class PairingFamily:
 
 
 def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) -> PairingFamily:
-    """Bundle the generic construction over one seed; each call gets fresh fuel."""
+    """Bundle the generic construction over one seed; each call gets fresh fuel.
+
+    The calls share one GuidePrefix, so the guide is read once per family.
+    """
+    guide = GuidePrefix(seed, fuel_budget)
+    label = f"seed {seed.label}"
 
     def pair(x: int, y: int) -> int:
-        return generic_pair(seed, x, y, streams.Fuel(fuel_budget, label=f"seed {seed.label}"))
+        return generic_pair(guide, x, y, streams.Fuel(fuel_budget, label=label))
 
     def unpair(n: int) -> tuple[int, int]:
-        return generic_unpair(seed, n, streams.Fuel(fuel_budget, label=f"seed {seed.label}"))
+        return generic_unpair(guide, n, streams.Fuel(fuel_budget, label=label))
 
     return PairingFamily(seed.label, pair, unpair, fuel_budget)
 

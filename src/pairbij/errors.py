@@ -6,7 +6,15 @@ class PairbijError(Exception):
 
 
 class FuelExhausted(PairbijError):
-    """An operation pulled more stream elements than its fuel budget allows."""
+    """An operation pulled more stream elements than its fuel budget allows.
+
+    budget is the budget that ran out, label what the fuel was metering.
+    """
+
+    def __init__(self, message: str, budget: int | None = None, label: str | None = None):
+        super().__init__(message)
+        self.budget = budget
+        self.label = label
 
 
 class EmptyCycle(PairbijError):
@@ -38,7 +46,16 @@ class InvalidBit(PairbijError):
 
 
 class GuideExhausted(PairbijError):
-    """A finite guide ended while elements still needed routing."""
+    """A finite guide ended while elements still needed routing.
+
+    position is the number of guide positions read before the end, label the
+    seed's label (None for a bare guide given to bsplit or bmerge).
+    """
+
+    def __init__(self, message: str, position: int | None = None, label: str | None = None):
+        super().__init__(message)
+        self.position = position
+        self.label = label
 
 
 class UnknownPreset(PairbijError):

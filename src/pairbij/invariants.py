@@ -10,8 +10,8 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import wraps
 from itertools import islice
 
-from . import charpair, encoders, nadic, streams
-from .errors import FuelExhausted
+from . import charpair, encoders, guide, nadic, streams
+from .errors import FuelExhausted, PairbijError
 
 MORTON_TABLE = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (3, 0), (2, 1), (3, 1),
                 (0, 2), (1, 2), (0, 3)]
@@ -235,6 +235,42 @@ def divergence(fuel_budget: int):
         pass
 
 
+def outcome(call: Callable[[], object]) -> tuple:
+    """What a call returned, or the type, message and fields of the PairbijError it raised."""
+    try:
+        return ("returned", call())
+    except PairbijError as e:
+        return (type(e).__name__, str(e), vars(e))
+
+
+def _metered(op: Callable, source, args: tuple, budget: int, label: str) -> tuple:
+    fuel = streams.Fuel(budget, label=f"seed {label}")
+    return outcome(lambda: op(source, *args, fuel)), fuel.remaining
+
+
+@_sweep
+def prefix_matches_loop(seeds: Iterable[charpair.SeedSpec], budgets: Iterable[int],
+                        n_upto: int, grid: int):
+    """generic_pair and generic_unpair answer from a GuidePrefix as from its plain seed.
+
+    One prefix per seed and budget serves every call, as in a family; each
+    call gets fresh fuel of that budget. Results, errors (type, message and
+    fields) and the fuel left must agree with the loop's.
+    """
+    cases = [(charpair.generic_unpair, (n,)) for n in range(n_upto + 1)]
+    cases += [(charpair.generic_pair, (x, y)) for x in range(grid) for y in range(grid)]
+    budgets = list(budgets)
+    for seed in seeds:
+        for budget in budgets:
+            prefix = guide.GuidePrefix(seed, budget)
+            for op, args in cases:
+                got = _metered(op, prefix, args, budget, seed.label)
+                want = _metered(op, seed, args, budget, seed.label)
+                if got != want:
+                    yield (f"{seed.label}, budget {budget}: {op.__name__}{args} gave {got},"
+                           f" the loop {want}")
+
+
 @_sweep
 def encoder_laws(iso_values: int, lists: int):
     """Groupoid laws of Iso composition, and each hub encoder inverting both ways.
@@ -286,6 +322,12 @@ def encoder_laws(iso_values: int, lists: int):
 SELFTEST_FAMILIES = ("morton", "arith-set:3", "squares", "powers2", "syracuse",
                      "bits-of-naturals")
 
+
+def _preset_seeds(specs: Iterable[str]) -> list[charpair.SeedSpec]:
+    return [charpair.preset_seed(name, int(k) if k else None)
+            for name, _, k in (spec.partition(":") for spec in specs)]
+
+
 # Name and check at `--range r`. Sizes grow with r, mostly capped below the
 # acceptance sizes so that the command stays quick; fixed sizes do not shrink.
 SELFTESTS: list[tuple[str, Callable[[int], list[str]]]] = [
@@ -299,4 +341,8 @@ SELFTESTS: list[tuple[str, Callable[[int], list[str]]]] = [
     ("morton vs bit interleave", lambda r: morton_interleave(32)),
     ("cantor oracle", lambda r: family_roundtrips(["cantor"], min(r, 2000), min(r, 50))),
     ("divergence detection", lambda r: divergence(20_000)),
+    # arith-set:1 starves, so the loop spends the whole budget on every call.
+    ("guide prefix vs loop", lambda r: prefix_matches_loop(
+        _preset_seeds(SELFTEST_FAMILIES + ("arith-set:1",)), (3, 64, 2000),
+        min(r, 100), min(r, 6))),
 ]

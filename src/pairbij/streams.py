@@ -2,8 +2,10 @@
 
 A Stream is an immutable *description*: every iteration instantiates a fresh
 generator and replays the sequence from the start. That stands in for lazy
-lists in a strict language -- pairing operations re-traverse the same seed
-on every call, so descriptions must be cheap to restart and safe to share.
+lists in a strict language, so descriptions must be cheap to restart and safe
+to share. Where the paper evaluates a guide's lazy list once and shares it, a
+pairing family reads its seed once into a guide.GuidePrefix; only
+generic_pair/generic_unpair given a plain SeedSpec re-traverse it per call.
 """
 
 import itertools
@@ -33,7 +35,8 @@ class Fuel:
         if self.remaining < 0:
             where = f" while evaluating {self.label}" if self.label else ""
             raise FuelExhausted(
-                f"no progress after {self.budget} stream pulls{where}"
+                f"no progress after {self.budget} stream pulls{where}",
+                budget=self.budget, label=self.label,
             )
 
     def meter(self, xs: Iterable[int]) -> Iterator[int]:
@@ -71,8 +74,8 @@ def cycle(xs: Iterable[int]) -> Stream:
 
 def arith(start: int, step: int) -> Stream:
     """The infinite arithmetic progression start, start+step, start+2*step, ..."""
-    if step == 0:
-        raise ZeroStep("arithmetic stream needs step >= 1")
+    if step < 1:
+        raise ZeroStep(f"arithmetic stream needs step >= 1, got {step}")
     return Stream(lambda: itertools.count(start, step))
 
 

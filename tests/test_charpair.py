@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairbij import charpair, encoders, streams
+from pairbij import charpair, encoders, guide, streams
 from pairbij.errors import (
     FuelExhausted,
     GuideExhausted,
@@ -14,7 +14,7 @@ from pairbij.errors import (
     UnknownPreset,
     ZeroArgument,
 )
-from pairbij.invariants import MORTON_TABLE, interleave
+from pairbij.invariants import MORTON_TABLE, interleave, outcome, prefix_matches_loop
 
 
 # -- bsplit ------------------------------------------------------------------------
@@ -392,25 +392,198 @@ def test_seed_file_rejects_int_encoders(tmp_path, encoder):
         charpair.seed_from_file(path, encoder)
 
 
+# -- the guide prefix against the loop --------------------------------------------------
+
+PRESETS = ["morton", "squares", "powers2", "syracuse", "bits-of-naturals"]
+BUDGETS = st.integers(1, 64) | st.just(streams.DEFAULT_FUEL)
+
+
+@pytest.fixture(scope="module")
+def seed_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("seeds")
+
+
+def _write(seed_dir, text):
+    path = seed_dir / f"{abs(hash(text))}.bits"
+    path.write_text(text)
+    return path
+
+
+def _draw_seed(data, seed_dir):
+    """(budget, family spec head, plain seed maker).
+
+    The head is None for a seed the spec grammar cannot name; the maker raises
+    what constructing the seed raises.
+    """
+    kind = data.draw(st.sampled_from(["preset", "arith-set", "file", "unordered", "exact",
+                                      "bad-file", "bad-stream"]))
+    budget = data.draw(BUDGETS)
+    if kind == "preset":
+        name = data.draw(st.sampled_from(PRESETS))
+        return budget, name, lambda: charpair.preset_seed(name)
+    if kind == "arith-set":
+        k = data.draw(st.integers(1, 8))
+        if k == 1:  # the all-ones guide starves: the loop would spend the default budget per call
+            budget = data.draw(st.integers(1, 64))
+        return budget, f"arith-set:{k}", lambda: charpair.preset_seed("arith-set", k)
+    if kind == "bad-stream":  # a bit that is not 0 or 1 partway through the guide
+        bits = data.draw(st.lists(st.integers(0, 1), max_size=60))
+        bits.insert(data.draw(st.integers(0, len(bits))), 2)
+        seed = charpair.SeedSpec(encoders.BINS, streams.from_list(bits), "bad-stream")
+        return budget, None, lambda: seed
+    enc = data.draw(st.sampled_from(["list", "mset", "set", "bins"]))
+    bits = data.draw(st.lists(st.integers(0, 1), max_size=80))
+    if kind == "unordered":  # a set file that is not strictly increasing
+        enc, bits = "set", bits + [1, 1] + bits
+    if kind == "exact":  # a bins guide as long as the budget, give or take one
+        budget = data.draw(st.integers(1, 64))
+        enc, bits = "bins", data.draw(st.lists(st.integers(0, 1), min_size=budget - 1,
+                                               max_size=budget + 1))
+    text = " ".join(map(str, bits))
+    if kind == "bad-file":
+        cut = data.draw(st.integers(0, len(text)))
+        text = text[:cut] + "2" + text[cut:]
+    path = _write(seed_dir, text)
+    return budget, f"seed-file:{path}:{enc}", lambda: charpair.seed_from_file(path, enc)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_family_matches_loop_property(seed_dir, data):
+    budget, head, make_seed = _draw_seed(data, seed_dir)
+    masks = data.draw(st.lists(st.integers(0, 2**16), max_size=2))
+    mask = 0
+    for m in masks:
+        mask ^= m
+    seed = outcome(make_seed)
+    if head is None:
+        fam = outcome(lambda: charpair.twist_family(
+            charpair.family_from_seed(seed[1], budget), mask))
+    else:
+        spec = head + "".join(f",xor:{m}" for m in masks)
+        fam = outcome(lambda: charpair.family(spec, budget))
+    assert fam[0] == seed[0] == "returned" or fam == seed
+    if fam[0] != "returned":
+        return
+    fam, seed = fam[1], seed[1]
+    label = f"seed {seed.label}"
+    xs = st.integers(0, 2**12)
+    for _ in range(4):
+        if data.draw(st.booleans()):
+            x, y = data.draw(xs), data.draw(xs)
+            got = outcome(lambda: fam.pair(x, y))
+            want = outcome(lambda: charpair.generic_pair(
+                seed, x, y, streams.Fuel(budget, label=label)) ^ mask)
+        else:
+            n = data.draw(st.integers(0, 2**24))
+            got = outcome(lambda: fam.unpair(n))
+            want = outcome(lambda: charpair.generic_unpair(
+                seed, n ^ mask, streams.Fuel(budget, label=label)))
+        assert got == want
+
+
+def test_starving_seed_is_read_once_per_family():
+    pulled = []
+    counted = streams.smap(lambda i: pulled.append(i) or i, streams.arith(0, 1))
+    fam = charpair.family_from_seed(charpair.SeedSpec(encoders.SET, counted, "counted"), 500)
+    for n in range(10):
+        with pytest.raises(FuelExhausted, match="no progress after 500 stream pulls"):
+            fam.unpair(n)
+    assert len(pulled) <= 502  # the loop reads 501 positions on every call
+
+
+def test_prefix_matches_loop_invariant():
+    seeds = [charpair.preset_seed("arith-set", 2), charpair.preset_seed("squares"),
+             charpair.SeedSpec(encoders.BINS, streams.from_list([1, 0, 0, 1, 1, 0, 1]), "short"),
+             # the loop reads any bit equal to 1 as a one
+             charpair.SeedSpec(encoders.BINS, streams.cycle([1.0, 0, False]), "not ints")]
+    assert prefix_matches_loop(seeds, (1, 2, 5, 9, 40, streams.DEFAULT_FUEL), 300, 12) == []
+
+
+def test_prefix_refuses_a_larger_budget():
+    prefix = guide.GuidePrefix(charpair.preset_seed("morton"), 100)
+    assert charpair.generic_pair(prefix, 5, 3, streams.Fuel(100)) == 27
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        charpair.generic_pair(prefix, 5, 3, streams.Fuel(101))
+
+
+# -- structured errors -------------------------------------------------------------------
+
+def test_fuel_error_fields():
+    fam = charpair.family("arith-set:1", fuel_budget=700)
+    with pytest.raises(FuelExhausted) as info:
+        fam.pair(3, 0)
+    assert (info.value.budget, info.value.label) == (700, "seed arith-set:1")
+    assert str(info.value) == "no progress after 700 stream pulls while evaluating seed arith-set:1"
+
+
+def test_guide_error_fields(tmp_path):
+    path = tmp_path / "short.bits"
+    path.write_text("1010")
+    label = f"seed-file:{path}:bins"
+    fam = charpair.family(f"seed-file:{path}")
+    seed = charpair.seed_from_file(path)
+    for call in (lambda: fam.unpair(10**6), lambda: charpair.generic_unpair(seed, 10**6)):
+        with pytest.raises(GuideExhausted) as info:
+            call()
+        assert (info.value.position, info.value.label) == (4, label)
+        assert str(info.value) == (f"guide of seed {label} ended at position 4"
+                                   f" before both components were delimited")
+    for call in (lambda: fam.pair(2**9, 0), lambda: charpair.generic_pair(seed, 2**9, 0)):
+        with pytest.raises(GuideExhausted) as info:
+            call()
+        assert (info.value.position, info.value.label) == (4, label)
+    with pytest.raises(GuideExhausted) as info:
+        list(charpair.bmerge([1], [5, 6], [7, 8]))
+    assert (info.value.position, info.value.label) == (1, None)
+
+
 # -- threads ---------------------------------------------------------------------------
 
-def test_shared_family_across_threads():
-    fam = charpair.family("squares")
-    serial = [fam.unpair(n) for n in range(500)]
-    results = [None] * 4
-
-    def work(i):
-        results[i] = [fam.unpair(n) for n in range(500)]
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+def _race(work, threads=4):
+    """Run work(i) on each thread at once, switching often; every thread must finish."""
+    started = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for t in threads:
+        for t in started:
             t.start()
-        for t in threads:
+        for t in started:
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [serial] * 4
+    assert not any(t.is_alive() for t in started)
+
+
+# Widths rise with k, so the calls grow the guide prefix in several steps.
+RACE_CALLS = [(f, k) for k in range(40) for f in ("pair", "unpair")]
+
+
+def _race_call(fam, f, k):
+    return fam.pair(2**k + k, k * k) if f == "pair" else fam.unpair(3**k + k)
+
+
+def test_shared_family_across_threads():
+    # The family is cold: the threads race to grow its prefix.
+    fam = charpair.family("squares")
+    results = [None] * 4
+
+    def work(i):
+        results[i] = [_race_call(fam, f, k) for f, k in RACE_CALLS]
+
+    _race(work)
+    serial_fam = charpair.family("squares")
+    assert results == [[_race_call(serial_fam, f, k) for f, k in RACE_CALLS]] * 4
+
+
+def test_starving_family_across_threads():
+    fam = charpair.family("arith-set:1", fuel_budget=2000)
+    results = [None] * 4
+
+    def work(i):
+        results[i] = [outcome(lambda: _race_call(fam, f, k)) for f, k in RACE_CALLS]
+
+    _race(work)
+    message = "no progress after 2000 stream pulls while evaluating seed arith-set:1"
+    refused = ("FuelExhausted", message, {"budget": 2000, "label": "seed arith-set:1"})
+    assert results == [[refused] * len(RACE_CALLS)] * 4

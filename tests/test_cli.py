@@ -263,7 +263,8 @@ def test_selftest_passes(capsys):
     assert lines == [f"PASS {name}" for name in (
         "nadic golden values", "nadic roundtrips", "permutation composition law",
         "encoder laws", "morton golden table", "preset roundtrips",
-        "morton vs bit interleave", "cantor oracle", "divergence detection")]
+        "morton vs bit interleave", "cantor oracle", "divergence detection",
+        "guide prefix vs loop")]
 
 
 def test_selftest_range_zero(capsys):

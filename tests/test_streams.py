@@ -51,6 +51,13 @@ def test_arith_zero_step_raises():
         streams.arith(0, 0)
 
 
+@pytest.mark.parametrize("step", [-1, -2])
+def test_arith_negative_step_raises(step):
+    # a negative step would put negatives into a stream of naturals
+    with pytest.raises(ZeroStep, match=f"needs step >= 1, got {step}"):
+        streams.arith(3, step)
+
+
 def test_take_short_stream():
     assert streams.take(streams.from_list([7]), 5) == [7]
 
