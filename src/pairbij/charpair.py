@@ -218,6 +218,8 @@ def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
     GuideExhausted if a finite seed runs out. Given a GuidePrefix, it answers
     from the prefix's runs, with the same results and errors.
     """
+    if x < 0 or y < 0:
+        raise ZeroArgument(f"pair is defined on naturals, got x={x}, y={y}")
     fuel = _fresh_fuel(seed, fuel)
     xs = _nat_to_bits(x)
     ys = _nat_to_bits(y)
@@ -258,6 +260,8 @@ def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
     direction does. Given a GuidePrefix, it answers from the prefix's runs,
     with the same results and errors.
     """
+    if n < 0:
+        raise ZeroArgument(f"unpair is defined on naturals, got {n}")
     fuel = _fresh_fuel(seed, fuel)
     payload = _nat_to_bits(n)
     if isinstance(seed, GuidePrefix):
@@ -283,12 +287,20 @@ def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
 
 @dataclass(frozen=True)
 class PairingFamily:
-    """A named pair/unpair closure pair; mutually inverse wherever both terminate."""
+    """A named pair/unpair closure pair; mutually inverse wherever both terminate.
+
+    A family built on a guide keeps it in `guide`, and in `mask` the XOR of
+    its ,xor: twists: unpair(n) then sends bit i of n ^ mask to x or to y as
+    guide position i says, which lets a caller walking n = 0, 1, 2, ... get
+    each point from the one before (see cli._curve_points).
+    """
 
     name: str
     pair: Callable[[int, int], int]
     unpair: Callable[[int], tuple[int, int]]
     fuel_budget: int = streams.DEFAULT_FUEL
+    guide: GuidePrefix | None = None
+    mask: int = 0
 
 
 def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) -> PairingFamily:
@@ -305,7 +317,7 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
     def unpair(n: int) -> tuple[int, int]:
         return generic_unpair(guide, n, streams.Fuel(fuel_budget, label=label))
 
-    return PairingFamily(seed.label, pair, unpair, fuel_budget)
+    return PairingFamily(seed.label, pair, unpair, fuel_budget, guide)
 
 
 def syracuse(n: int) -> int:
@@ -429,6 +441,8 @@ def twist_family(f: PairingFamily, mask: int) -> PairingFamily:
         lambda x, y: f.pair(x, y) ^ mask,
         lambda n: f.unpair(n ^ mask),
         f.fuel_budget,
+        f.guide,
+        f.mask ^ mask,
     )
 
 

@@ -79,13 +79,50 @@ def _cmd_permute(args) -> int:
     return 0
 
 
+def _unpair_at(fam: charpair.PairingFamily, n: int) -> tuple[int, int]:
+    try:
+        return fam.unpair(n)
+    except FuelExhausted as e:
+        raise PairbijError(f"unpair diverged at n={n}: {e}") from None
+    except PairbijError as e:
+        raise PairbijError(f"unpair failed at n={n}: {e}") from None
+
+
 def _curve_points(fam: charpair.PairingFamily, count: int) -> list[tuple[int, int, int]]:
-    points = []
-    for n in range(count + 1):
-        try:
-            x, y = fam.unpair(n)
-        except FuelExhausted as e:
-            raise PairbijError(f"unpair diverged at n={n}: {e}") from None
+    """The points (n, x, y) of fam's unpairing path, n = 0..count.
+
+    A family with a guide unpairs by sending bit i of n ^ mask to x or to y
+    as guide position i says. Going from n-1 to n flips the low
+    w = (n ^ (n-1)).bit_length() bits of n ^ mask, so it flips the low c1
+    bits of x and the low w - c1 bits of y, where c1 counts the ones among
+    the first w guide positions. What an unpair call reads and the fuel it
+    spends depend only on the bit length of n ^ mask, so fam.unpair runs at
+    n = 0 and wherever that length grows past every length before it: the
+    only points at which it can fail. Other families call unpair at every n.
+    """
+    guide = fam.guide
+    if guide is None:
+        return [(n, *_unpair_at(fam, n)) for n in range(count + 1)]
+    mask = fam.mask
+    x, y = _unpair_at(fam, 0)
+    points = [(0, x, y)]
+    longest = mask.bit_length()
+    # flips[w]: what the carry over the low w bits of n XORs into x and into y.
+    # One of n-1 and n reaches w bits after the mask, so w <= longest.
+    flips: list[tuple[int, int]] = []
+    for n in range(1, count + 1):
+        length = (n ^ mask).bit_length()
+        if length > longest:
+            longest = length
+            x, y = _unpair_at(fam, n)
+        else:
+            w = (n ^ (n - 1)).bit_length()
+            while len(flips) <= w:
+                c1 = guide.ones_before(len(flips))
+                flips.append(((1 << c1) - 1, (1 << (len(flips) - c1)) - 1))
+            fx, fy = flips[w]
+            x ^= fx
+            y ^= fy
         points.append((n, x, y))
     return points
 

@@ -7,10 +7,11 @@ full size; `pairbij selftest --range R` runs SELFTESTS, at sizes capped by R.
 
 import random
 from collections.abc import Callable, Iterable, Iterator
+from dataclasses import replace
 from functools import wraps
 from itertools import islice
 
-from . import charpair, encoders, guide, nadic, streams
+from . import charpair, cli, encoders, guide, nadic, streams
 from .errors import FuelExhausted, PairbijError
 
 MORTON_TABLE = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (3, 0), (2, 1), (3, 1),
@@ -272,6 +273,27 @@ def prefix_matches_loop(seeds: Iterable[charpair.SeedSpec], budgets: Iterable[in
 
 
 @_sweep
+def curve_walk_matches_unpair(specs: Iterable[str], budgets: Iterable[int], count: int):
+    """The curve command's walk by carries gives what unpair at every n gives.
+
+    The walk runs on a family of each spec and budget; the loop runs on a
+    second family of the same spec with its guide removed, so it calls
+    unpair at every n. Both must give the same points, or the same error.
+    """
+    budgets = list(budgets)
+    for spec in specs:
+        for budget in budgets:
+            walked = outcome(lambda: cli._curve_points(charpair.family(spec, budget), count))
+            looped = outcome(lambda: cli._curve_points(
+                replace(charpair.family(spec, budget), guide=None), count))
+            if walked != looped:
+                if walked[0] == looped[0] == "returned":
+                    n = next(i for i, (a, b) in enumerate(zip(walked[1], looped[1])) if a != b)
+                    walked, looped = walked[1][n], looped[1][n]
+                yield f"curve {spec} {count}, budget {budget}: the walk gave {walked}, unpair {looped}"
+
+
+@_sweep
 def encoder_laws(iso_values: int, lists: int):
     """Groupoid laws of Iso composition, and each hub encoder inverting both ways.
 
@@ -345,4 +367,6 @@ SELFTESTS: list[tuple[str, Callable[[int], list[str]]]] = [
     ("guide prefix vs loop", lambda r: prefix_matches_loop(
         _preset_seeds(SELFTEST_FAMILIES + ("arith-set:1",)), (3, 64, 2000),
         min(r, 100), min(r, 6))),
+    ("curve walk vs unpair", lambda r: curve_walk_matches_unpair(
+        SELFTEST_FAMILIES + ("squares,xor:5000", "arith-set:1"), (3, 64), min(r, 1000))),
 ]

@@ -1,5 +1,6 @@
 import sys
 import threading
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -334,6 +335,18 @@ def test_family_rejects_negatives(spec, call):
         call(charpair.family(spec))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda f: f.pair(-1, 0), "pair is defined on naturals, got x=-1, y=0"),
+    (lambda f: f.pair(3, -2), "pair is defined on naturals, got x=3, y=-2"),
+    (lambda f: f.unpair(-5), "unpair is defined on naturals, got -5"),
+])
+@pytest.mark.parametrize("spec", ["morton", "arith-set:3", "bits-of-naturals"])
+def test_guide_family_negative_names_the_call(spec, call, message):
+    with pytest.raises(ZeroArgument) as info:
+        call(charpair.family(spec))
+    assert str(info.value) == message
+
+
 def test_twist_zero_mask_is_identity():
     fam = charpair.preset_family("morton")
     twisted = charpair.twist_family(fam, 0)
@@ -498,6 +511,28 @@ def test_prefix_matches_loop_invariant():
              # the loop reads any bit equal to 1 as a one
              charpair.SeedSpec(encoders.BINS, streams.cycle([1.0, 0, False]), "not ints")]
     assert prefix_matches_loop(seeds, (1, 2, 5, 9, 40, streams.DEFAULT_FUEL), 300, 12) == []
+
+
+@pytest.mark.parametrize("seed", [charpair.preset_seed("morton"), charpair.preset_seed("squares"),
+                                  charpair.preset_seed("bits-of-naturals")],
+                         ids=lambda seed: seed.label)
+def test_ones_before_counts_the_read_guide(seed):
+    prefix = guide.GuidePrefix(seed, 500)
+    charpair.generic_unpair(prefix, 2**120, streams.Fuel(500))
+    bits = list(islice(seed.bits(streams.Fuel(500)), 122))
+    assert [prefix.ones_before(w) for w in range(122)] == [sum(bits[:w]) for w in range(122)]
+    with pytest.raises(ValueError, match="positions asked of the guide prefix"):
+        prefix.ones_before(10**6)
+
+
+def test_family_fields_follow_twists():
+    base = charpair.family("squares")
+    twisted = charpair.family("squares,xor:5,xor:12")
+    assert (base.guide is not None, base.mask) == (True, 0)
+    assert twisted.mask == 5 ^ 12
+    assert charpair.twist_family(base, 7).guide is base.guide
+    for spec in ("nadic:3", "cantor", "cantor,xor:3"):
+        assert charpair.family(spec).guide is None
 
 
 def test_prefix_refuses_a_larger_budget():

@@ -1,6 +1,13 @@
-import pytest
+import contextlib
+import io
+from dataclasses import replace
+from unittest import mock
 
-from pairbij import charpair, cli
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pairbij import charpair, cli, streams
 from pairbij.errors import PairbijError
 
 MORTON_CSV = "n,x,y\n0,0,0\n1,1,0\n2,0,1\n3,1,1\n"
@@ -149,6 +156,18 @@ def test_curve_divergent_names_failing_n(capsys):
     assert "n=0" in err
 
 
+def test_curve_names_failing_n_for_guide_errors(tmp_path, capsys):
+    path = tmp_path / "short.bits"
+    path.write_text("1010101001")
+    code, out, err = run(capsys, "curve", f"seed-file:{path}", "1000", "csv")
+    assert code == 2
+    assert out == ""
+    # 256 is the first n with nine bits: delimiting both sides needs a run starting past
+    # position 9, and the file holds positions 0..9
+    assert err == (f"error: unpair failed at n=256: guide of seed seed-file:{path}:bins"
+                   " ended at position 10 before both components were delimited\n")
+
+
 def test_unpair_pair_roundtrip_through_cli(capsys):
     for spec in ("morton", "nadic:5", "cantor", "arith-set:4", "squares", "morton,xor:9"):
         for n in (0, 1, 17, 140):
@@ -264,7 +283,7 @@ def test_selftest_passes(capsys):
         "nadic golden values", "nadic roundtrips", "permutation composition law",
         "encoder laws", "morton golden table", "preset roundtrips",
         "morton vs bit interleave", "cantor oracle", "divergence detection",
-        "guide prefix vs loop")]
+        "guide prefix vs loop", "curve walk vs unpair")]
 
 
 def test_selftest_range_zero(capsys):
@@ -325,3 +344,55 @@ def test_family_registry_rejects(tmp_path, spec):
     path.write_text("10" * 20)
     with pytest.raises(PairbijError):
         charpair.family(spec.replace("<p>", str(path)))
+
+
+# -- the curve walk against unpair at every n ------------------------------------------
+
+@pytest.fixture(scope="module")
+def seed_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("seeds")
+
+
+def _curve_run(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _draw_head(data, seed_dir) -> tuple[str, int]:
+    """A spec head of every form of the grammar with a guide, and a fuel budget."""
+    budget = data.draw(st.integers(1, 64) | st.just(streams.DEFAULT_FUEL))
+    kind = data.draw(st.sampled_from(["preset", "arith-set", "file"]))
+    if kind == "preset":
+        name = data.draw(st.sampled_from(["morton", "squares", "powers2", "syracuse",
+                                          "bits-of-naturals"]))
+        return name, budget
+    if kind == "arith-set":
+        k = data.draw(st.integers(1, 8))
+        if k == 1:  # the all-ones guide starves: each call would spend the default budget
+            budget = data.draw(st.integers(1, 64))
+        return f"arith-set:{k}", budget
+    # often too short for the count, and under list, mset or set not always a valid seed
+    enc = data.draw(st.sampled_from(["list", "mset", "set", "bins"]))
+    bits = data.draw(st.lists(st.integers(0, 1), max_size=80))
+    path = seed_dir / ("".join(map(str, bits)) + ".bits")
+    path.write_text(" ".join(map(str, bits)))
+    return f"seed-file:{path}:{enc}", budget
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_curve_walk_matches_unpair(seed_dir, data):
+    head, budget = _draw_head(data, seed_dir)
+    masks = data.draw(st.lists(st.integers(0, 2**14), max_size=3))
+    spec = head + "".join(f",xor:{m}" for m in masks)
+    count = data.draw(st.integers(0, 3000))
+    argv = ["--fuel", str(budget), "curve", spec, str(count),
+            data.draw(st.sampled_from(["csv", "svg"]))]
+    walked = _curve_run(argv)
+    # the same command on a family with no guide, which calls unpair at every n
+    with mock.patch.object(cli, "parse_family", lambda spec, budget: replace(
+            charpair.family(spec, budget), guide=None)):
+        looped = _curve_run(argv)
+    assert walked == looped
