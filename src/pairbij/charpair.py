@@ -436,10 +436,16 @@ def cantor_family() -> PairingFamily:
 
 def twist_family(f: PairingFamily, mask: int) -> PairingFamily:
     """XOR the paired value with a fixed mask; still a bijection, new family member."""
+
+    def unpair(n: int) -> tuple[int, int]:
+        if n < 0:  # before the XOR, so that the message names the caller's n
+            raise ZeroArgument(f"unpair is defined on naturals, got {n}")
+        return f.unpair(n ^ mask)
+
     return PairingFamily(
         f"{f.name},xor:{mask}",
         lambda x, y: f.pair(x, y) ^ mask,
-        lambda n: f.unpair(n ^ mask),
+        unpair,
         f.fuel_budget,
         f.guide,
         f.mask ^ mask,

@@ -5,9 +5,11 @@ Exit codes: 0 on success, 1 when selftest finds an invariant violation,
 """
 
 import argparse
+import functools
 import os
 import sys
-from pathlib import Path
+from collections.abc import Iterator
+from itertools import islice
 
 from . import charpair, encoders, nadic, streams
 from .errors import FuelExhausted, PairbijError
@@ -88,8 +90,8 @@ def _unpair_at(fam: charpair.PairingFamily, n: int) -> tuple[int, int]:
         raise PairbijError(f"unpair failed at n={n}: {e}") from None
 
 
-def _curve_points(fam: charpair.PairingFamily, count: int) -> list[tuple[int, int, int]]:
-    """The points (n, x, y) of fam's unpairing path, n = 0..count.
+def _curve_points(fam: charpair.PairingFamily, count: int) -> Iterator[tuple[int, int, int]]:
+    """The points (n, x, y) of fam's unpairing path, n = 0..count, one at a time.
 
     A family with a guide unpairs by sending bit i of n ^ mask to x or to y
     as guide position i says. Going from n-1 to n flips the low
@@ -102,10 +104,12 @@ def _curve_points(fam: charpair.PairingFamily, count: int) -> list[tuple[int, in
     """
     guide = fam.guide
     if guide is None:
-        return [(n, *_unpair_at(fam, n)) for n in range(count + 1)]
+        for n in range(count + 1):
+            yield (n, *_unpair_at(fam, n))
+        return
     mask = fam.mask
     x, y = _unpair_at(fam, 0)
-    points = [(0, x, y)]
+    yield (0, x, y)
     longest = mask.bit_length()
     # flips[w]: what the carry over the low w bits of n XORs into x and into y.
     # One of n-1 and n reaches w bits after the mask, so w <= longest.
@@ -123,17 +127,25 @@ def _curve_points(fam: charpair.PairingFamily, count: int) -> list[tuple[int, in
             fx, fy = flips[w]
             x ^= fx
             y ^= fy
-        points.append((n, x, y))
-    return points
+        yield (n, x, y)
 
 
-def _render_csv(points) -> str:
-    lines = ["n,x,y"]
-    lines.extend(f"{n},{x},{y}" for n, x, y in points)
-    return "\n".join(lines) + "\n"
+# Rows joined into one piece of CSV text: enough that joining costs little per
+# row, few enough that a piece stays small.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _render_csv(points) -> list[str]:
+    """The CSV text of points, in pieces, so that a lazy walk is never held whole."""
+    rows = (f"{n},{x},{y}\n" for n, x, y in points)
+    pieces = ["n,x,y\n"]
+    while piece := "".join(islice(rows, _CSV_CHUNK_ROWS)):
+        pieces.append(piece)
+    return pieces
 
 
 def _render_svg(points) -> str:
+    points = list(points)  # the scale needs the largest coordinate first
     span = max(max(x for _, x, _ in points), max(y for _, _, y in points), 1)
     scale = 980 / span
     coords = " ".join(f"{10 + x * scale:.2f},{10 + y * scale:.2f}" for _, x, y in points)
@@ -147,14 +159,17 @@ def _render_svg(points) -> str:
 def _cmd_curve(args) -> int:
     fam = parse_family(args.family, args.fuel_budget)
     points = _curve_points(fam, charpair.parse_nat(args.count, "count"))
-    text = _render_csv(points) if args.format == "csv" else _render_svg(points)
+    # The walk runs while rendering; writing starts only once it has finished,
+    # so a curve that fails part way writes nothing.
+    pieces = _render_csv(points) if args.format == "csv" else [_render_svg(points)]
     if args.out:
         try:
-            Path(args.out).write_text(text)
+            with open(args.out, "w") as f:
+                f.writelines(pieces)
         except OSError as e:
             raise PairbijError(f"cannot write {args.out}: {e.strerror or e}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 0
 
 
@@ -178,6 +193,7 @@ def _cmd_selftest(args) -> int:
 
 # -- entry point ----------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairbij",

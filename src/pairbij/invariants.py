@@ -283,9 +283,9 @@ def curve_walk_matches_unpair(specs: Iterable[str], budgets: Iterable[int], coun
     budgets = list(budgets)
     for spec in specs:
         for budget in budgets:
-            walked = outcome(lambda: cli._curve_points(charpair.family(spec, budget), count))
-            looped = outcome(lambda: cli._curve_points(
-                replace(charpair.family(spec, budget), guide=None), count))
+            walked = outcome(lambda: list(cli._curve_points(charpair.family(spec, budget), count)))
+            looped = outcome(lambda: list(cli._curve_points(
+                replace(charpair.family(spec, budget), guide=None), count)))
             if walked != looped:
                 if walked[0] == looped[0] == "returned":
                     n = next(i for i, (a, b) in enumerate(zip(walked[1], looped[1])) if a != b)

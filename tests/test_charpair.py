@@ -347,6 +347,14 @@ def test_guide_family_negative_names_the_call(spec, call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("spec", ["squares,xor:9", "nadic:3,xor:9", "cantor,xor:9"])
+def test_twisted_negative_names_the_callers_n(spec):
+    # unchecked, the mask reaches the base family first and it names -1 ^ 9 = -10
+    with pytest.raises(ZeroArgument) as info:
+        charpair.family(spec).unpair(-1)
+    assert str(info.value) == "unpair is defined on naturals, got -1"
+
+
 def test_twist_zero_mask_is_identity():
     fam = charpair.preset_family("morton")
     twisted = charpair.twist_family(fam, 0)

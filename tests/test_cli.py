@@ -1,5 +1,6 @@
 import contextlib
 import io
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -225,6 +226,42 @@ def test_fuel_flag_wins_over_env(monkeypatch, capsys):
     code, _, err = run(capsys, "--fuel", "800", "unpair", "arith-set:1", "5")
     assert code == 2
     assert "800" in err
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_shared_parser_gives_each_call_its_own_budget(monkeypatch, capsys):
+    monkeypatch.delenv(cli.FUEL_ENV, raising=False)
+    code, _, err = run(capsys, "--fuel", "3", "unpair", "morton", "1000")
+    assert code == 2 and "after 3 stream pulls" in err
+    assert run(capsys, "unpair", "morton", "1000") == (0, "24 30\n", "")
+    monkeypatch.setenv(cli.FUEL_ENV, "5")
+    code, _, err = run(capsys, "unpair", "morton", "1000")
+    assert code == 2 and "after 5 stream pulls" in err
+
+
+@pytest.mark.parametrize("bad", [["frobnicate"], ["curve", "morton", "3", "png"]])
+def test_usage_error_leaves_parser_usable(capsys, bad):
+    assert run(capsys, *bad)[0] == 2
+    assert run(capsys, "curve", "morton", "3", "csv") == (0, MORTON_CSV, "")
+
+
+def test_curve_csv_memory_follows_text(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    argv = ["curve", "morton", "20000", "csv", "--out", str(out)]
+    assert cli.main(argv) == 0  # grows the guide and builds the parser outside the trace
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 0.24 MB of text; holding every point as a tuple took 3.8 MB
+    assert peak <= 1.25 * 2**20
+    code, text, err = run(capsys, *argv[:4])
+    assert (code, err) == (0, "") and text.encode() == out.read_bytes()
 
 
 def test_fuel_must_be_positive(capsys):
