@@ -25,10 +25,11 @@ the inline loops of generic_pair and generic_unpair, and guide.GuidePrefix.
     it raised the peak memory of importing charpair by about 0.5 MB.
 """
 
+import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, count, tee
+from itertools import chain, count, islice, tee
 from math import isqrt
 from pathlib import Path
 
@@ -183,7 +184,11 @@ class SeedSpec:
     label: str
 
     def bits(self, fuel: streams.Fuel) -> Iterator[int]:
-        """Instantiate the guide as a fuel-metered bit iterator.
+        """Instantiate the guide as a fuel-metered bit iterator."""
+        return fuel.meter(self._guide())
+
+    def _guide(self) -> Iterator[int]:
+        """The guide as a bit iterator, unmetered.
 
         Payloads already in bit form are used directly: rebuilding them
         through the hub is the identity on well-formed infinite seeds and
@@ -191,14 +196,40 @@ class SeedSpec:
         """
         src = iter(self.payload)
         if self.encoder is encoders.BINS:
-            return fuel.meter(_validated_bits(src))
-        return fuel.meter(encoders.list_to_bins(self.encoder.forward(src)))
+            return _validated_bits(src)
+        return encoders.list_to_bins(self.encoder.forward(src))
 
 
 def _fresh_fuel(seed: SeedSpec | GuidePrefix, fuel: streams.Fuel | None) -> streams.Fuel:
     if fuel is not None:
         return fuel
     return streams.Fuel(label=f"seed {seed.label}")
+
+
+def _allowance(fuel: streams.Fuel) -> int:
+    """How many guide positions a loop may read unmetered, through islice."""
+    return min(max(fuel.remaining, 0), sys.maxsize)
+
+
+def _charge(fuel: streams.Fuel, read: int, guide: Iterator[int] | None) -> None:
+    """Charge a loop that leaves after reading `read` positions of its guide.
+
+    The loops read the guide unmetered, `_allowance(fuel)` positions at
+    most, and charge once as they leave, so that fuel.remaining and the
+    error are those that metering each pull would give. Pass the guide if
+    the loop still needs a position: when the allowance is used up, it is
+    pulled once more, and a position there is the pull past the budget, which
+    Fuel.tick refuses with FuelExhausted. If that pull raises, or the guide
+    has ended, only `read` is charged.
+    """
+    try:
+        if guide is not None and read >= fuel.remaining:
+            next(guide)
+            read += 1
+    except StopIteration:
+        pass
+    finally:
+        fuel.tick(read)
 
 
 # -- the generic construction ------------------------------------------------------
@@ -225,26 +256,30 @@ def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
     ys = _nat_to_bits(y)
     if isinstance(seed, GuidePrefix):
         return _bits_to_nat(seed.merge(xs, ys, fuel))
+    lx, ly = len(xs), len(ys)
     ix = iy = 0
     merged: list[int] = []
-    bits = seed.bits(fuel)
-    while ix < len(xs) or iy < len(ys):
-        try:
-            bit = next(bits)
-        except StopIteration:
-            raise exhausted(seed.label, len(merged), UNPLACED) from None
-        if bit == 1:
-            if ix < len(xs):
-                merged.append(xs[ix])
-                ix += 1
+    guide = seed._guide()
+    try:
+        for bit in islice(guide, _allowance(fuel)):
+            if bit == 1:
+                if ix < lx:
+                    merged.append(xs[ix])
+                    ix += 1
+                else:
+                    merged.append(0)
             else:
-                merged.append(0)
-        else:
-            if iy < len(ys):
-                merged.append(ys[iy])
-                iy += 1
-            else:
-                merged.append(0)
+                if iy < ly:
+                    merged.append(ys[iy])
+                    iy += 1
+                else:
+                    merged.append(0)
+            if ix == lx and iy == ly:
+                break
+    finally:
+        _charge(fuel, len(merged), None if ix == lx and iy == ly else guide)
+    if ix < lx or iy < ly:
+        raise exhausted(seed.label, len(merged), UNPLACED)
     return _bits_to_nat(merged)
 
 
@@ -271,16 +306,22 @@ def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
     collected: tuple[list[int], list[int]] = ([], [])
     open_sides = [True, True]
     pos = 0
-    for bit in seed.bits(fuel):
-        side = 0 if bit == 1 else 1
-        if pos < length:
-            collected[side].append(payload[pos])
-        elif open_sides[side]:
-            open_sides[side] = False
-            if not open_sides[1 - side]:
-                return _bits_to_nat(collected[0]), _bits_to_nat(collected[1])
-        pos += 1
-    raise exhausted(seed.label, pos, UNDELIMITED)
+    guide = seed._guide()
+    try:
+        for bit in islice(guide, _allowance(fuel)):
+            pos += 1
+            side = 0 if bit == 1 else 1
+            if pos <= length:
+                collected[side].append(payload[pos - 1])
+            elif open_sides[side]:
+                open_sides[side] = False
+                if not open_sides[1 - side]:
+                    break
+    finally:
+        _charge(fuel, pos, guide if open_sides[0] or open_sides[1] else None)
+    if open_sides[0] or open_sides[1]:
+        raise exhausted(seed.label, pos, UNDELIMITED)
+    return _bits_to_nat(collected[0]), _bits_to_nat(collected[1])
 
 
 # -- named families ----------------------------------------------------------------
@@ -322,6 +363,8 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
 
 def syracuse(n: int) -> int:
     """The 2-adic tail of 6n + 4; iterating it to 0 restates the Collatz problem."""
+    if n < 0:  # before 6n + 4, so that the message names the caller's n
+        raise ZeroArgument(f"syracuse is defined on naturals, got {n}")
     return nadic.tail(2, 6 * n + 4)
 
 

@@ -7,7 +7,7 @@ path serves finite lists and infinite streams.
 """
 
 from collections.abc import Callable, Iterable, Iterator
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
 from . import nadic, streams
 from .errors import (
@@ -15,6 +15,7 @@ from .errors import (
     NotNonDecreasing,
     NotStrictlyIncreasing,
     UnknownEncoder,
+    ZeroArgument,
 )
 
 
@@ -64,9 +65,15 @@ def as_(target: Encoder, source: Encoder, x):
 
 # -- hub <-> multisets and sets ------------------------------------------------
 
+def _natural(n: int) -> int:
+    if n < 0:
+        raise ZeroArgument(f"hub lists hold naturals, got {n}")
+    return n
+
+
 def list_to_mset(ns: Iterable[int]) -> Iterator[int]:
     """Prefix sums: hub list -> non-decreasing multiset."""
-    return accumulate(ns)
+    return accumulate(map(_natural, ns))
 
 
 def mset_to_list(xs: Iterable[int]) -> Iterator[int]:
@@ -83,7 +90,7 @@ def list_to_set(ns: Iterable[int]) -> Iterator[int]:
     """Shifted prefix sums: hub list -> strictly increasing set."""
     total = -1
     for n in ns:
-        total += n + 1
+        total += _natural(n) + 1
         yield total
 
 
@@ -99,30 +106,53 @@ def set_to_list(xs: Iterable[int]) -> Iterator[int]:
 
 # -- hub <-> characteristic-function bit sequences ------------------------------
 
+class _Runs(dict):
+    """Hub element n -> its run of bits, n zeros then a one.
+
+    Short runs are kept as tuples; a longer one is built when it is looked
+    up and not kept, which is also where a negative element is refused.
+    """
+
+    def __missing__(self, n: int) -> Iterable[int]:
+        return chain(repeat(0, _natural(n)), (1,))
+
+
+_RUNS = _Runs((n, (0,) * n + (1,)) for n in range(32))
+
+
+def _first_or_zero(runs: Iterator[Iterable[int]]) -> Iterator[Iterable[int]]:
+    yield next(runs, (0,))
+
+
 def list_to_bins(ns: Iterable[int]) -> Iterator[int]:
     """Each element n contributes n zeros then a one; the empty list becomes [0].
 
     The [0] base case is load-bearing: it is the bit form of the natural 0,
-    and the generic pairing construction relies on it.
+    and the generic pairing construction relies on it. Bits come a run per
+    element, and nothing is pulled from ns before the first bit is asked for.
     """
-    it = iter(ns)
-    try:
-        n = next(it)
-    except StopIteration:
-        yield 0
-        return
-    while True:
-        for _ in range(n):
-            yield 0
-        yield 1
-        try:
-            n = next(it)
-        except StopIteration:
-            return
+    runs = map(_RUNS.__getitem__, ns)
+    return chain.from_iterable(chain(_first_or_zero(runs), runs))
 
 
 def bins_to_list(bs: Iterable[int]) -> Iterator[int]:
-    """Count the zeros before each one; zeros after the last one are padding."""
+    """Count the zeros before each one; zeros after the last one are padding.
+
+    A list of the ints 0 and 1 is split at its ones in one pass; anything
+    else is read a bit at a time, so a bad bit fails where it stands.
+    """
+    if isinstance(bs, list):
+        try:
+            packed = bytes(bs)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if not packed.translate(None, b"\x00\x01"):
+                return map(len, packed.split(b"\x01")[:-1])
+    return _bins_to_list(bs)
+
+
+def _bins_to_list(bs: Iterable[int]) -> Iterator[int]:
     gap = 0
     for bit in bs:
         if bit == 0:

@@ -24,6 +24,12 @@ def exhausted(label: str, position: int, what: str) -> GuideExhausted:
                           position=position, label=label)
 
 
+def _spend(fuel: streams.Fuel, read: int) -> None:
+    """Tick the `read` positions a call reads, or, if fewer, one past what the
+    fuel has left: the pull that metering each pull would refuse."""
+    fuel.tick(min(read, max(fuel.remaining, 0) + 1))
+
+
 def _again(e: Exception) -> Exception:
     """A fresh copy of a stored guide error, so that each call raises its own."""
     fresh = type(e)(*e.args)
@@ -111,7 +117,7 @@ class GuidePrefix:
 
     def _fail(self, n: int, stop, fuel: streams.Fuel, what: str):
         """Fail as the loop does on a call that needs more than the `n` positions read."""
-        fuel.tick(min(n, fuel.remaining + 1))
+        _spend(fuel, n)
         if isinstance(stop, StopIteration):
             raise exhausted(self.label, n, what)
         raise _again(stop)
@@ -143,7 +149,7 @@ class GuidePrefix:
         p1 = starts[r1] + lx - 1 - ones[r1]
         p0 = starts[r0] + ly - 1 - zeros[r0]
         end = max(p1, p0) + 1
-        fuel.tick(min(end, fuel.remaining + 1))
+        _spend(fuel, end)
         if p1 > p0:
             reach, xend, yend = r1 + 1, lx, end - lx
             ys += [0] * (yend - ly)
@@ -173,7 +179,7 @@ class GuidePrefix:
         after = bisect_right(starts, length, 0, runs)
         if after == runs:
             self._fail(known, stop, fuel, UNDELIMITED)
-        fuel.tick(min(starts[after] + 1, fuel.remaining + 1))
+        _spend(fuel, starts[after] + 1)
         # Runs 0..after-1 cover the payload; runs 2i and 2i+1 go to different
         # sides. A slice may run past the payload's end, which cuts it there.
         a: list[int] = []

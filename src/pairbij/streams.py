@@ -31,6 +31,9 @@ class Fuel:
         self.label = label
 
     def tick(self, count: int = 1) -> None:
+        """Spend count pulls; FuelExhausted once more are spent than the budget holds."""
+        if count < 0:
+            raise ValueError(f"cannot spend {count} pulls of fuel")
         self.remaining -= count
         if self.remaining < 0:
             where = f" while evaluating {self.label}" if self.label else ""

@@ -11,6 +11,7 @@ from pairbij.errors import (
     FuelExhausted,
     GuideExhausted,
     InvalidBit,
+    NotStrictlyIncreasing,
     UnknownEncoder,
     UnknownPreset,
     ZeroArgument,
@@ -301,6 +302,12 @@ def test_nsyr_fuel():
         charpair.nsyr(27, streams.Fuel(3))
 
 
+@pytest.mark.parametrize("call", [charpair.syracuse, charpair.nsyr], ids=["syracuse", "nsyr"])
+def test_syracuse_names_the_callers_negative_input(call):
+    with pytest.raises(ZeroArgument, match="got -1$"):
+        call(-1)
+
+
 def test_syracuse_stream_matches_map():
     seed = charpair.preset_seed("syracuse")
     got = streams.take(seed.payload, 6)
@@ -519,6 +526,74 @@ def test_prefix_matches_loop_invariant():
              # the loop reads any bit equal to 1 as a one
              charpair.SeedSpec(encoders.BINS, streams.cycle([1.0, 0, False]), "not ints")]
     assert prefix_matches_loop(seeds, (1, 2, 5, 9, 40, streams.DEFAULT_FUEL), 300, 12) == []
+
+
+# Each loop reads its guide unmetered and charges the fuel as it leaves; these
+# are the errors and the fuel left that metering each pull gives.
+LOOP_EXITS = [
+    (encoders.BINS, [1, 0, 1, 0, 2, 1, 0], 100, InvalidBit, 96),
+    (encoders.BINS, [1, 0, 1, 0], 100, GuideExhausted, 96),
+    (encoders.BINS, [1, 1, 1, 1], 4, GuideExhausted, 0),
+    (encoders.SET, [0, 2, 2, 5], 100, NotStrictlyIncreasing, 97),
+]
+
+
+@pytest.mark.parametrize("op, args", [(charpair.generic_pair, (5, 3)),
+                                      (charpair.generic_unpair, (1000,))],
+                         ids=["pair", "unpair"])
+@pytest.mark.parametrize("encoder, payload, budget, error, left", LOOP_EXITS,
+                         ids=["bad bit", "ended", "ended at budget", "not increasing"])
+def test_loop_charges_the_positions_read(op, args, encoder, payload, budget, error, left):
+    seed = charpair.SeedSpec(encoder, streams.from_list(payload), "pinned")
+    fuel = streams.Fuel(budget)
+    with pytest.raises(error) as e:
+        op(seed, *args, fuel)
+    if error is GuideExhausted:
+        assert e.value.position == 4
+    assert fuel.remaining == left
+
+
+@pytest.mark.parametrize("op, args", [(charpair.generic_pair, (5, 3)),
+                                      (charpair.generic_unpair, (1000,))],
+                         ids=["pair", "unpair"])
+def test_loop_refuses_the_pull_past_the_budget(op, args):
+    pulled = []
+    ones = streams.smap(lambda b: pulled.append(b) or b, streams.cycle([1]))
+    fuel = streams.Fuel(50)
+    with pytest.raises(FuelExhausted, match="no progress after 50 stream pulls"):
+        op(charpair.SeedSpec(encoders.BINS, ones, "ones"), *args, fuel)
+    assert fuel.remaining == -1
+    assert len(pulled) == 51
+
+
+def test_loop_returns_with_the_positions_read():
+    fuel = streams.Fuel(100)
+    assert charpair.generic_pair(charpair.preset_seed("morton"), 5, 3, fuel) == 27
+    assert fuel.remaining == 95
+    assert charpair.generic_unpair(charpair.preset_seed("morton"), 27, fuel) == (5, 3)
+    assert fuel.remaining == 88
+
+
+def test_loop_takes_a_budget_past_the_word_size():
+    fuel = streams.Fuel(10**30)
+    assert charpair.generic_pair(charpair.preset_seed("morton"), 5, 3, fuel) == 27
+    assert fuel.remaining == 10**30 - 5
+
+
+def test_prefix_matches_loop_on_malformed_guides():
+    seeds = [charpair.SeedSpec(encoders.BINS, streams.from_list([1, 0, 1, 0, 2, 1, 0]), "bad bit"),
+             charpair.SeedSpec(encoders.SET, streams.from_list([0, 2, 2, 5]), "not increasing")]
+    assert prefix_matches_loop(seeds, (1, 3, 4, 5, 100), 40, 6) == []
+
+
+def test_spent_fuel_is_not_refunded():
+    seed = charpair.preset_seed("arith-set", 1)
+    fuel = streams.Fuel(5)
+    for source in (seed, seed, guide.GuidePrefix(seed, 5)):
+        left = fuel.remaining
+        with pytest.raises(FuelExhausted):
+            charpair.generic_unpair(source, 9, fuel)
+        assert fuel.remaining <= min(left, -1)
 
 
 @pytest.mark.parametrize("seed", [charpair.preset_seed("morton"), charpair.preset_seed("squares"),

@@ -1,5 +1,7 @@
+from itertools import count, islice
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairbij import encoders, nadic, streams
@@ -122,6 +124,94 @@ def test_bins_even_seed_prefix():
 def test_bins_rejects_non_bits():
     with pytest.raises(InvalidBit):
         list(encoders.bins_to_list([0, 2, 1]))
+
+
+def _old_list_to_bins(ns):
+    """The bit-at-a-time generator list_to_bins replaced, kept as its reference."""
+    it = iter(ns)
+    try:
+        n = next(it)
+    except StopIteration:
+        yield 0
+        return
+    while True:
+        for _ in range(n):
+            yield 0
+        yield 1
+        try:
+            n = next(it)
+        except StopIteration:
+            return
+
+
+def _old_bins_to_list(bs):
+    """The bit-at-a-time generator bins_to_list replaced, kept as its reference."""
+    gap = 0
+    for bit in bs:
+        if bit == 0:
+            gap += 1
+        elif bit == 1:
+            yield gap
+            gap = 0
+        else:
+            raise InvalidBit(f"bit sequence may only contain 0 and 1, got {bit!r}")
+
+
+def _read(convert, xs):
+    """What list(convert(xs)) gave, or the type and message of what it raised."""
+    try:
+        return list(convert(xs))
+    except Exception as e:
+        return type(e), str(e)
+
+
+# Zero gaps, gaps either side of the table of short runs, and long gaps.
+hub_gaps = st.lists(st.one_of(st.just(0), st.integers(28, 36), st.integers(0, 10**5)), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hub_gaps)
+def test_list_to_bins_matches_bit_generator(xs):
+    bits = list(encoders.list_to_bins(xs))
+    assert bits == list(_old_list_to_bins(xs))
+    assert list(encoders.bins_to_list(bits)) == list(_old_bins_to_list(bits)) == xs
+
+
+def test_list_to_bins_is_lazy():
+    assert list(islice(encoders.list_to_bins(count()), 6)) == [1, 0, 1, 0, 0, 1]
+    pulled = []
+    bits = encoders.list_to_bins(pulled.append(n) or n for n in [40, 2])
+    assert pulled == []
+    assert next(bits) == 0 and pulled == [40]
+    assert list(bits) == [0] * 39 + [1, 0, 0, 1] and pulled == [40, 2]
+
+
+not_bits = [2, -1, 256, "1", None, [1]]
+
+
+@given(st.lists(st.sampled_from([0, 1]), max_size=60)
+       | st.lists(st.sampled_from([0, 1, True, False]), max_size=60)
+       | st.lists(st.sampled_from([0, 1, 1.0, 0.0]), max_size=60)
+       | st.lists(st.sampled_from([0, 1] + not_bits), max_size=60))
+def test_bins_to_list_matches_bit_generator(bits):
+    assert _read(encoders.bins_to_list, bits) == _read(_old_bins_to_list, bits)
+
+
+@pytest.mark.parametrize("bad", not_bits, ids=repr)
+def test_bins_to_list_names_the_bad_bit(bad):
+    bits = [0, 1, 1, bad, 0, 1]
+    assert _read(encoders.bins_to_list, bits) == _read(_old_bins_to_list, bits)
+    assert _read(encoders.bins_to_list, iter(bits)) == _read(_old_bins_to_list, bits)
+
+
+@pytest.mark.parametrize("convert, xs, bad", [
+    (encoders.list_to_bins, [2, -3], -3),
+    (encoders.list_to_set, [-1, -1], -1),
+    (encoders.list_to_mset, [-2, 1], -2),
+], ids=["bins", "set", "mset"])
+def test_hub_encoders_reject_negative_elements(convert, xs, bad):
+    with pytest.raises(ZeroArgument, match=f"got {bad}$"):
+        list(convert(xs))
 
 
 def test_as_bins_set_golden():

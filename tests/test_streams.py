@@ -111,6 +111,14 @@ def test_fuel_meter_exhausts():
         streams.take(fuel.meter(streams.cycle([0])), 101)
 
 
+def test_fuel_tick_refuses_a_refund():
+    fuel = streams.Fuel(10)
+    with pytest.raises(ValueError, match="-5"):
+        fuel.tick(-5)
+    fuel.tick(0)
+    assert fuel.remaining == 10
+
+
 def test_fuel_budget_must_be_positive():
     with pytest.raises(ValueError):
         streams.Fuel(0)
