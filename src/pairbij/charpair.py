@@ -23,6 +23,10 @@ the inline loops of generic_pair and generic_unpair, and guide.GuidePrefix.
     which routes each call's bits by slicing whole runs of equal bits. It has
     a module of its own: compiled inside this one, without a bytecode cache,
     it raised the peak memory of importing charpair by about 0.5 MB.
+  - The loops and the prefix charge fuel by one rule. A call reads at most
+    guide._read_limit(fuel) positions, what the fuel can pay for plus the one
+    pull past it, and guide._spend charges it once as it leaves, so both give
+    the fuel left and the error that metering each pull would give.
 """
 
 import sys
@@ -42,7 +46,7 @@ from .errors import (
     UnknownPreset,
     ZeroArgument,
 )
-from .guide import UNDELIMITED, UNPLACED, GuidePrefix, exhausted
+from .guide import UNDELIMITED, UNPLACED, GuidePrefix, _read_limit, _spend, exhausted
 
 
 def _nat_to_bits(n: int) -> list[int]:
@@ -103,31 +107,6 @@ def bsplit(guide: Iterable[int], ns: Iterable[int]) -> tuple[Iterator[int], Iter
     return _side(ones, 1), _side(zeros, 0)
 
 
-class _Peek:
-    """Bounded lookahead over an iterator, with pushback for injected padding."""
-
-    __slots__ = ("_it", "_buf")
-
-    def __init__(self, xs: Iterable[int]):
-        self._it = iter(xs)
-        self._buf = deque()
-
-    def has(self, k: int) -> bool:
-        while len(self._buf) < k:
-            try:
-                self._buf.append(next(self._it))
-            except StopIteration:
-                return False
-        return True
-
-    def pop(self) -> int:
-        self.has(1)
-        return self._buf.popleft()
-
-    def push(self, x: int) -> None:
-        self._buf.appendleft(x)
-
-
 def bmerge(guide: Iterable[int], xs: Iterable[int], ys: Iterable[int]) -> Iterator[int]:
     """Interleave xs and ys as directed by the guide: 1 pulls from xs, 0 from ys.
 
@@ -141,30 +120,28 @@ def bmerge(guide: Iterable[int], xs: Iterable[int], ys: Iterable[int]) -> Iterat
     Injected zeros may trail the output; the bit decoder discards them.
     """
     bits = _validated_bits(guide)
-    a, b = _Peek(xs), _Peek(ys)
+    xs, ys = iter(xs), iter(ys)
+    # Each side's next two elements, all the lookahead the endings need.
+    a, b = deque(islice(xs, 2)), deque(islice(ys, 2))
     used = 0
-    while True:
-        if not a.has(1) and not b.has(1):
+    while a or b:
+        if len(a) + len(b) == 1:
+            yield (a or b).pop()
             return
-        if not a.has(1) and not b.has(2):
-            yield b.pop()
-            return
-        if not b.has(1) and not a.has(2):
-            yield a.pop()
-            return
-        if not a.has(1):
-            a.push(0)
-        elif not b.has(1):
-            b.push(0)
-        try:
-            bit = next(bits)
-        except StopIteration:
+        if not a:
+            a.append(0)
+        elif not b:
+            b.append(0)
+        bit = next(bits, None)
+        if bit is None:
             raise GuideExhausted(
                 f"merge guide ended after {used} bits with elements remaining",
                 position=used,
-            ) from None
+            )
         used += 1
-        yield a.pop() if bit == 1 else b.pop()
+        side, rest = (a, xs) if bit == 1 else (b, ys)
+        yield side.popleft()
+        side.extend(islice(rest, 2 - len(side)))
 
 
 # -- seeds -----------------------------------------------------------------------
@@ -203,33 +180,8 @@ class SeedSpec:
 def _fresh_fuel(seed: SeedSpec | GuidePrefix, fuel: streams.Fuel | None) -> streams.Fuel:
     if fuel is not None:
         return fuel
-    return streams.Fuel(label=f"seed {seed.label}")
-
-
-def _allowance(fuel: streams.Fuel) -> int:
-    """How many guide positions a loop may read unmetered, through islice."""
-    return min(max(fuel.remaining, 0), sys.maxsize)
-
-
-def _charge(fuel: streams.Fuel, read: int, guide: Iterator[int] | None) -> None:
-    """Charge a loop that leaves after reading `read` positions of its guide.
-
-    The loops read the guide unmetered, `_allowance(fuel)` positions at
-    most, and charge once as they leave, so that fuel.remaining and the
-    error are those that metering each pull would give. Pass the guide if
-    the loop still needs a position: when the allowance is used up, it is
-    pulled once more, and a position there is the pull past the budget, which
-    Fuel.tick refuses with FuelExhausted. If that pull raises, or the guide
-    has ended, only `read` is charged.
-    """
-    try:
-        if guide is not None and read >= fuel.remaining:
-            next(guide)
-            read += 1
-    except StopIteration:
-        pass
-    finally:
-        fuel.tick(read)
+    budget = seed.budget if isinstance(seed, GuidePrefix) else streams.DEFAULT_FUEL
+    return streams.Fuel(budget, label=f"seed {seed.label}")
 
 
 # -- the generic construction ------------------------------------------------------
@@ -259,9 +211,8 @@ def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
     lx, ly = len(xs), len(ys)
     ix = iy = 0
     merged: list[int] = []
-    guide = seed._guide()
     try:
-        for bit in islice(guide, _allowance(fuel)):
+        for bit in islice(seed._guide(), _read_limit(fuel)):
             if bit == 1:
                 if ix < lx:
                     merged.append(xs[ix])
@@ -277,7 +228,7 @@ def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
             if ix == lx and iy == ly:
                 break
     finally:
-        _charge(fuel, len(merged), None if ix == lx and iy == ly else guide)
+        _spend(fuel, len(merged))
     if ix < lx or iy < ly:
         raise exhausted(seed.label, len(merged), UNPLACED)
     return _bits_to_nat(merged)
@@ -306,9 +257,8 @@ def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
     collected: tuple[list[int], list[int]] = ([], [])
     open_sides = [True, True]
     pos = 0
-    guide = seed._guide()
     try:
-        for bit in islice(guide, _allowance(fuel)):
+        for bit in islice(seed._guide(), _read_limit(fuel)):
             pos += 1
             side = 0 if bit == 1 else 1
             if pos <= length:
@@ -318,7 +268,7 @@ def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
                 if not open_sides[1 - side]:
                     break
     finally:
-        _charge(fuel, pos, guide if open_sides[0] or open_sides[1] else None)
+        _spend(fuel, pos)
     if open_sides[0] or open_sides[1]:
         raise exhausted(seed.label, pos, UNDELIMITED)
     return _bits_to_nat(collected[0]), _bits_to_nat(collected[1])
@@ -433,9 +383,6 @@ def read_seed_bits(path: str | Path) -> list[int]:
     return bits
 
 
-_SEED_FILE_ENCODERS = ("list", "mset", "set", "bins")
-
-
 def seed_from_file(path: str | Path, encoder_name: str = "bins") -> SeedSpec:
     """A finite characteristic-function prefix loaded from a file.
 
@@ -445,9 +392,9 @@ def seed_from_file(path: str | Path, encoder_name: str = "bins") -> SeedSpec:
     sequence encoders can read them; nat, nat-prime and nadic:<b> take a
     single natural and raise UnknownEncoder here.
     """
-    if encoder_name not in _SEED_FILE_ENCODERS:
+    if encoder_name not in encoders.SEQUENCE_ENCODERS:
         raise UnknownEncoder(
-            f"seed files take only the {', '.join(_SEED_FILE_ENCODERS)} encoders,"
+            f"seed files take only the {', '.join(encoders.SEQUENCE_ENCODERS)} encoders,"
             f" got {encoder_name!r}"
         )
     enc = encoders.by_name(encoder_name)
@@ -502,6 +449,11 @@ def parse_nat(text: str, what: str) -> int:
     try:
         n = int(text)
     except ValueError:
+        # CPython refuses to read more decimal digits than sys.get_int_max_str_digits().
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        if limit and len(text) > limit:
+            raise PairbijError(f"{what} is {len(text)} characters long, more than the limit of"
+                               f" {limit} decimal digits; it starts {text[:20]!r}") from None
         raise PairbijError(f"{what} must be a natural number, got {text!r}") from None
     if n < 0:
         raise PairbijError(f"{what} must be non-negative, got {n}")

@@ -33,21 +33,25 @@ def _parse_literal(text: str):
     return charpair.parse_nat(text, "value")
 
 
-def _takes_int(encoder_name: str) -> bool:
-    return encoder_name in ("nat", "nat-prime") or encoder_name.startswith("nadic:")
+def _decimal(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise PairbijError(f"result of {n.bit_length()} bits has more than the limit of"
+                           f" {sys.get_int_max_str_digits()} decimal digits") from None
 
 
 def _format_value(v) -> str:
     if isinstance(v, int):
-        return str(v)
-    return "[" + ",".join(str(x) for x in v) + "]"
+        return _decimal(v)
+    return "[" + ",".join(map(_decimal, v)) + "]"
 
 
 def _cmd_pair(args) -> int:
     fam = parse_family(args.family, args.fuel_budget)
     x = charpair.parse_nat(args.x, "x")
     y = charpair.parse_nat(args.y, "y")
-    print(fam.pair(x, y))
+    print(_decimal(fam.pair(x, y)))
     return 0
 
 
@@ -55,7 +59,7 @@ def _cmd_unpair(args) -> int:
     fam = parse_family(args.family, args.fuel_budget)
     n = charpair.parse_nat(args.n, "n")
     x, y = fam.unpair(n)
-    print(f"{x} {y}")
+    print(_decimal(x), _decimal(y))
     return 0
 
 
@@ -63,8 +67,9 @@ def _cmd_encode(args) -> int:
     source = encoders.by_name(args.source)
     target = encoders.by_name(args.target)
     value = _parse_literal(args.value)
-    if _takes_int(source.name) != isinstance(value, int):
-        kind = "a natural number" if _takes_int(source.name) else "a [..] list literal"
+    takes_int = source.name not in encoders.SEQUENCE_ENCODERS
+    if takes_int != isinstance(value, int):
+        kind = "a natural number" if takes_int else "a [..] list literal"
         raise PairbijError(f"encoder {source.name!r} expects {kind}")
     result = encoders.as_(target, source, value)
     if not isinstance(result, int):

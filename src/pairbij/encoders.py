@@ -198,6 +198,9 @@ NAT_PRIME = Encoder(
 
 _FIXED = {e.name: e for e in (LIST, MSET, SET, BINS, NAT, NAT_PRIME)}
 
+# The encoders that read a sequence; nat, nat-prime and nadic:<b> read a natural.
+SEQUENCE_ENCODERS = ("list", "mset", "set", "bins")
+
 
 def by_name(name: str) -> Encoder:
     """Look up an encoder by its CLI name: list, mset, set, bins, nat, nadic:<b>, nat-prime."""

@@ -6,6 +6,7 @@ guide once into a GuidePrefix, and the same two functions, given the prefix
 where the seed goes, route bits by whole runs instead.
 """
 
+import sys
 import threading
 from array import array
 from bisect import bisect_right
@@ -22,6 +23,12 @@ def exhausted(label: str, position: int, what: str) -> GuideExhausted:
     """The error of a finite guide that ended after `position` positions."""
     return GuideExhausted(f"guide of seed {label} ended at position {position} {what}",
                           position=position, label=label)
+
+
+def _read_limit(fuel: streams.Fuel) -> int:
+    """The guide positions a call may read: what the fuel can pay for, plus
+    the one pull past it, which _spend charges and Fuel.tick refuses."""
+    return min(max(fuel.remaining, 0), sys.maxsize - 1) + 1
 
 
 def _spend(fuel: streams.Fuel, read: int) -> None:
@@ -54,13 +61,13 @@ class GuidePrefix:
     that reaches it raises again. Calls may come from several threads.
     """
 
-    __slots__ = ("seed", "label", "_cap", "_lock", "_bits", "_first",
+    __slots__ = ("seed", "label", "budget", "_lock", "_bits", "_first",
                  "_starts", "_ones", "_zeros", "_state")
 
     def __init__(self, seed, fuel_budget: int = streams.DEFAULT_FUEL):
         self.seed = seed
         self.label = seed.label
-        self._cap = fuel_budget + 1
+        self.budget = fuel_budget
         self._lock = threading.Lock()
         self._bits = None
         self._first = 1
@@ -77,7 +84,8 @@ class GuidePrefix:
         last = self._first ^ ((runs - 1) & 1) if runs else -1
         try:
             if self._bits is None:
-                self._bits = self.seed.bits(streams.Fuel(self._cap, label=f"seed {self.label}"))
+                fuel = streams.Fuel(self.budget + 1, label=f"seed {self.label}")
+                self._bits = self.seed.bits(fuel)
             for bit in islice(self._bits, upto - n):
                 bit = 1 if bit == 1 else 0  # as the loop reads it; a bins guide may hold 1.0
                 if bit != last:
@@ -100,10 +108,10 @@ class GuidePrefix:
         """The state once it holds `ones` ones, `zeros` zeros and a run starting
         after position `past`, or once the guide has stopped or more positions
         are read than the fuel can pay for."""
-        limit = fuel.remaining + 1
-        if limit > self._cap:
+        if fuel.remaining > self.budget:
             raise ValueError(f"fuel of {fuel.remaining} pulls exceeds the budget"
-                             f" of the guide prefix of {self.label}, {self._cap - 1}")
+                             f" of the guide prefix of {self.label}, {self.budget}")
+        limit = _read_limit(fuel)
         state = self._state
         runs, n, o, stop = state
         while ((o < ones or n - o < zeros or not runs or self._starts[runs - 1] <= past)

@@ -345,11 +345,6 @@ SELFTEST_FAMILIES = ("morton", "arith-set:3", "squares", "powers2", "syracuse",
                      "bits-of-naturals")
 
 
-def _preset_seeds(specs: Iterable[str]) -> list[charpair.SeedSpec]:
-    return [charpair.preset_seed(name, int(k) if k else None)
-            for name, _, k in (spec.partition(":") for spec in specs)]
-
-
 # Name and check at `--range r`. Sizes grow with r, mostly capped below the
 # acceptance sizes so that the command stays quick; fixed sizes do not shrink.
 SELFTESTS: list[tuple[str, Callable[[int], list[str]]]] = [
@@ -365,8 +360,8 @@ SELFTESTS: list[tuple[str, Callable[[int], list[str]]]] = [
     ("divergence detection", lambda r: divergence(20_000)),
     # arith-set:1 starves, so the loop spends the whole budget on every call.
     ("guide prefix vs loop", lambda r: prefix_matches_loop(
-        _preset_seeds(SELFTEST_FAMILIES + ("arith-set:1",)), (3, 64, 2000),
-        min(r, 100), min(r, 6))),
+        [charpair.family(spec).guide.seed for spec in SELFTEST_FAMILIES + ("arith-set:1",)],
+        (3, 64, 2000), min(r, 100), min(r, 6))),
     ("curve walk vs unpair", lambda r: curve_walk_matches_unpair(
         SELFTEST_FAMILIES + ("squares,xor:5000", "arith-set:1"), (3, 64), min(r, 1000))),
 ]

@@ -1,5 +1,6 @@
 import sys
 import threading
+from collections import deque
 from itertools import islice
 
 import pytest
@@ -110,6 +111,71 @@ def test_bmerge_guide_exhausted():
 def test_bmerge_rejects_non_bits():
     with pytest.raises(InvalidBit):
         list(charpair.bmerge([3], [5, 6], [7, 8]))
+
+
+class _Peek:
+    """Bounded lookahead over an iterator, with pushback for injected padding."""
+
+    def __init__(self, xs):
+        self._it = iter(xs)
+        self._buf = deque()
+
+    def has(self, k):
+        while len(self._buf) < k:
+            try:
+                self._buf.append(next(self._it))
+            except StopIteration:
+                return False
+        return True
+
+    def pop(self):
+        self.has(1)
+        return self._buf.popleft()
+
+    def push(self, x):
+        self._buf.appendleft(x)
+
+
+def _peek_bmerge(guide, xs, ys):
+    """A reference bmerge over _Peek that tests each ending in its documented order."""
+    bits = charpair._validated_bits(guide)
+    a, b = _Peek(xs), _Peek(ys)
+    used = 0
+    while True:
+        if not a.has(1) and not b.has(1):
+            return
+        if not a.has(1) and not b.has(2):
+            yield b.pop()
+            return
+        if not b.has(1) and not a.has(2):
+            yield a.pop()
+            return
+        if not a.has(1):
+            a.push(0)
+        elif not b.has(1):
+            b.push(0)
+        try:
+            bit = next(bits)
+        except StopIteration:
+            raise GuideExhausted(
+                f"merge guide ended after {used} bits with elements remaining",
+                position=used,
+            ) from None
+        used += 1
+        yield a.pop() if bit == 1 else b.pop()
+
+
+GUIDE_BITS = st.lists(st.sampled_from([0, 1, 1.0, 2]), max_size=16)
+
+
+@given(st.one_of(GUIDE_BITS, GUIDE_BITS.filter(bool).map(streams.cycle)),
+       st.lists(st.integers(1, 9), max_size=6), st.lists(st.integers(1, 9), max_size=6))
+@settings(max_examples=500, deadline=None)
+def test_bmerge_matches_peek_merge(bits, xs, ys):
+    # A cycled guide that never routes to a padded side pads it forever, so
+    # only the first 20 elements are compared.
+    assert (outcome(lambda: list(islice(charpair.bmerge(bits, iter(xs), iter(ys)), 20)))
+            == outcome(lambda: list(islice(_peek_bmerge(bits, iter(xs), iter(ys)), 20))))
 
 
 def test_split_merge_duality():
@@ -594,6 +660,35 @@ def test_spent_fuel_is_not_refunded():
         with pytest.raises(FuelExhausted):
             charpair.generic_unpair(source, 9, fuel)
         assert fuel.remaining <= min(left, -1)
+
+
+@pytest.mark.parametrize("op, args", [(charpair.generic_pair, (5, 3)),
+                                      (charpair.generic_unpair, (9,))],
+                         ids=["pair", "unpair"])
+@pytest.mark.parametrize("name, k", [("arith-set", 1), ("morton", None)])
+def test_overspent_fuel_is_charged_alike(op, args, name, k):
+    seed = charpair.preset_seed(name, k)
+    warm = guide.GuidePrefix(seed, 5)
+    outcome(lambda: charpair.generic_unpair(warm, 0, streams.Fuel(5)))  # reads its whole budget
+    left = []
+    for source in (seed, guide.GuidePrefix(seed, 5), warm):
+        fuel = streams.Fuel(5)
+        with pytest.raises(FuelExhausted):
+            fuel.tick(8)
+        with pytest.raises(FuelExhausted):
+            op(source, *args, fuel)
+        left.append(fuel.remaining)
+    assert left == [-4, -4, -4]
+
+
+def test_prefix_without_fuel_uses_its_budget():
+    morton = charpair.preset_family("morton", fuel_budget=500).guide
+    assert charpair.generic_pair(morton, 5, 3) == 27
+    assert charpair.generic_unpair(morton, 27) == (5, 3)
+    starving = charpair.preset_family("arith-set", 1, fuel_budget=500).guide
+    with pytest.raises(FuelExhausted) as e:
+        charpair.generic_unpair(starving, 9)
+    assert (e.value.budget, e.value.label) == (500, "seed arith-set:1")
 
 
 @pytest.mark.parametrize("seed", [charpair.preset_seed("morton"), charpair.preset_seed("squares"),

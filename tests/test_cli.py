@@ -1,5 +1,6 @@
 import contextlib
 import io
+import sys
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -202,6 +203,25 @@ def test_negative_input(capsys):
     code, _, err = run(capsys, "pair", "morton", "-1", "2")
     assert code == 2
     assert "non-negative" in err
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()  # 4300 unless configured
+
+
+@pytest.mark.skipif(not 0 < DIGIT_LIMIT < 5001, reason="needs CPython's int-str digit limit")
+@pytest.mark.parametrize("argv, first", [
+    (["pair", "nadic:2", "20000", "0"],
+     f"error: result of 20000 bits has more than the limit of {DIGIT_LIMIT} decimal digits"),
+    (["encode", "--from", "list", "--to", "nat", "[30000]"],
+     f"error: result of 30001 bits has more than the limit of {DIGIT_LIMIT} decimal digits"),
+    (["unpair", "morton", "7" * 5001],
+     f"error: n is 5001 characters long, more than the limit of {DIGIT_LIMIT} decimal digits;"
+     " it starts '77777777777777777777'"),
+], ids=["pair", "encode", "unpair"])
+def test_numbers_past_the_digit_limit_exit_2(capsys, argv, first):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == first
 
 
 def test_usage_error_exits_2(capsys):
