@@ -107,7 +107,8 @@ def bsplit(guide: Iterable[int], ns: Iterable[int]) -> tuple[Iterator[int], Iter
     return _side(ones, 1), _side(zeros, 0)
 
 
-def bmerge(guide: Iterable[int], xs: Iterable[int], ys: Iterable[int]) -> Iterator[int]:
+def bmerge(guide: Iterable[int], xs: Iterable[int], ys: Iterable[int],
+           fuel: streams.Fuel | None = None) -> Iterator[int]:
     """Interleave xs and ys as directed by the guide: 1 pulls from xs, 0 from ys.
 
     The degenerate endings are matched in a fixed order that downstream
@@ -118,8 +119,13 @@ def bmerge(guide: Iterable[int], xs: Iterable[int], ys: Iterable[int]) -> Iterat
       4. xs empty, ys longer       -> refill xs with a zero and keep going
       5. ys empty, xs longer       -> refill ys with a zero and keep going
     Injected zeros may trail the output; the bit decoder discards them.
+    Each guide bit read spends one unit of fuel (a fresh default budget when
+    none is given), so a guide that stops routing to the longer side raises
+    FuelExhausted instead of padding the shorter one forever.
     """
-    bits = _validated_bits(guide)
+    if fuel is None:
+        fuel = streams.Fuel(label="merge guide")
+    bits = _validated_bits(fuel.meter(guide))
     xs, ys = iter(xs), iter(ys)
     # Each side's next two elements, all the lookahead the endings need.
     a, b = deque(islice(xs, 2)), deque(islice(ys, 2))
@@ -282,8 +288,9 @@ class PairingFamily:
 
     A family built on a guide keeps it in `guide`, and in `mask` the XOR of
     its ,xor: twists: unpair(n) then sends bit i of n ^ mask to x or to y as
-    guide position i says, which lets a caller walking n = 0, 1, 2, ... get
-    each point from the one before (see cli._curve_points).
+    guide position i says. That map is linear over XOR, which lets a caller
+    walking n = 0, 1, 2, ... get a whole block of points from two tables
+    (see cli._curve_blocks).
     """
 
     name: str

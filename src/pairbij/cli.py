@@ -9,7 +9,6 @@ import functools
 import os
 import sys
 from collections.abc import Iterator
-from itertools import islice
 
 from . import charpair, encoders, nadic, streams
 from .errors import FuelExhausted, PairbijError
@@ -95,56 +94,99 @@ def _unpair_at(fam: charpair.PairingFamily, n: int) -> tuple[int, int]:
         raise PairbijError(f"unpair failed at n={n}: {e}") from None
 
 
-def _curve_points(fam: charpair.PairingFamily, count: int) -> Iterator[tuple[int, int, int]]:
-    """The points (n, x, y) of fam's unpairing path, n = 0..count, one at a time.
+# Rows per block of the walk, 2**12: enough that a block's fixed cost is small
+# per row, few enough that its text stays small.
+_BLOCK_BITS = 12
 
-    A family with a guide unpairs by sending bit i of n ^ mask to x or to y
-    as guide position i says. Going from n-1 to n flips the low
-    w = (n ^ (n-1)).bit_length() bits of n ^ mask, so it flips the low c1
-    bits of x and the low w - c1 bits of y, where c1 counts the ones among
-    the first w guide positions. What an unpair call reads and the fuel it
-    spends depend only on the bit length of n ^ mask, so fam.unpair runs at
-    n = 0 and wherever that length grows past every length before it: the
-    only points at which it can fail. Other families call unpair at every n.
+
+def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
+    """The path of n = 0..count as blocks (ns, values, tables) of up to 2**12 rows.
+
+    ns is the block's range of n. A family with no guide gives each row's
+    (x, y) in values and None in tables.
+
+    A guide family unpairs n by sending bit i of n ^ mask to x or to y as
+    guide position i says, a map linear over XOR: x(n) = x(0) ^ X(n), where
+    X(n) gathers the bits of n on the guide's ones, and the same for y. Its
+    blocks start at multiples of 2**12, and row ns[t] has x = xs[tx[t]] and
+    y = ys[ty[t]] for (xs, ys) = values and (tx, ty) = tables. tx[t] = X(t)
+    and ty[t] = Y(t) serve every block; xs and ys list the block's distinct
+    x and y, at most 2**c and 2**(12 - c) of them, where c counts the ones
+    among the first 12 guide positions.
+
+    What an unpair call reads and the fuel it spends grow with the bit
+    length of n ^ mask, so unpair fails at some n <= count only if it fails
+    at the last n where that length grows. It runs there and at n = 0; only
+    if that call fails does it run at each n where the length grows, so
+    that the error names the first of them.
     """
+    block = 1 << _BLOCK_BITS
+    spans = (range(lo, min(lo + block, count + 1)) for lo in range(0, count + 1, block))
     guide = fam.guide
     if guide is None:
-        for n in range(count + 1):
-            yield (n, *_unpair_at(fam, n))
+        for ns in spans:
+            try:
+                rows = list(map(fam.unpair, ns))
+            except PairbijError:
+                rows = [_unpair_at(fam, n) for n in ns]
+            yield ns, rows, None
         return
-    mask = fam.mask
     x, y = _unpair_at(fam, 0)
-    yield (0, x, y)
-    longest = mask.bit_length()
-    # flips[w]: what the carry over the low w bits of n XORs into x and into y.
-    # One of n-1 and n reaches w bits after the mask, so w <= longest.
-    flips: list[tuple[int, int]] = []
-    for n in range(1, count + 1):
-        length = (n ^ mask).bit_length()
-        if length > longest:
-            longest = length
-            x, y = _unpair_at(fam, n)
+    grows = [1 << w for w in range(fam.mask.bit_length(), count.bit_length())]
+    if grows:
+        try:
+            fam.unpair(grows[-1])
+        except PairbijError:
+            for n in grows:
+                _unpair_at(fam, n)
+    # Those calls read the guide past position count.bit_length(), all that
+    # ones_before asks of it below.
+    width = min(count.bit_length(), _BLOCK_BITS)
+    tx, ty = [0], [0]
+    for i in range(width):
+        c = guide.ones_before(i)
+        if guide.ones_before(i + 1) > c:
+            bit = 1 << c
+            tx += [v | bit for v in tx]
+            ty += ty
         else:
-            w = (n ^ (n - 1)).bit_length()
-            while len(flips) <= w:
-                c1 = guide.ones_before(len(flips))
-                flips.append(((1 << c1) - 1, (1 << (len(flips) - c1)) - 1))
-            fx, fy = flips[w]
-            x ^= fx
-            y ^= fy
-        yield (n, x, y)
+            bit = 1 << (i - c)
+            tx += tx
+            ty += [v | bit for v in ty]
+    cx = guide.ones_before(width)
+    cy = width - cx
+    for ns in spans:
+        if ns.start:  # the carry into bit w - 1 flips bits 12..w-1 of n
+            w = (ns.start ^ (ns.start - 1)).bit_length()
+            c = guide.ones_before(w)
+            x ^= (1 << c) - (1 << cx)
+            y ^= (1 << (w - c)) - (1 << cy)
+        yield ns, ([x ^ v for v in range(1 << cx)], [y ^ v for v in range(1 << cy)]), (tx, ty)
 
 
-# Rows joined into one piece of CSV text: enough that joining costs little per
-# row, few enough that a piece stays small.
-_CSV_CHUNK_ROWS = 4096
+def _curve_points(fam: charpair.PairingFamily, count: int) -> Iterator[tuple[int, int, int]]:
+    """The points (n, x, y) of fam's unpairing path, n = 0..count, from its blocks."""
+    for ns, values, tables in _curve_blocks(fam, count):
+        if tables is None:
+            yield from ((n, x, y) for n, (x, y) in zip(ns, values))
+        else:
+            (xs, ys), (tx, ty) = values, tables
+            yield from zip(ns, map(xs.__getitem__, tx), map(ys.__getitem__, ty))
 
 
-def _render_csv(points) -> list[str]:
-    """The CSV text of points, in pieces, so that a lazy walk is never held whole."""
-    rows = (f"{n},{x},{y}\n" for n, x, y in points)
+def _render_csv(blocks) -> list[str]:
+    """The CSV text of the walk's blocks, a piece a block: memory follows the text, not the points.
+
+    A guide family's block formats each of its distinct x and y once.
+    """
     pieces = ["n,x,y\n"]
-    while piece := "".join(islice(rows, _CSV_CHUNK_ROWS)):
+    for ns, values, tables in blocks:
+        if tables is None:
+            piece = "".join([f"{n},{x},{y}\n" for n, (x, y) in zip(ns, values)])
+        else:
+            sx = [f",{x}" for x in values[0]]
+            sy = [f",{y}\n" for y in values[1]]
+            piece = "".join([f"{n}{sx[i]}{sy[j]}" for n, i, j in zip(ns, *tables)])
         pieces.append(piece)
     return pieces
 
@@ -163,10 +205,13 @@ def _render_svg(points) -> str:
 
 def _cmd_curve(args) -> int:
     fam = parse_family(args.family, args.fuel_budget)
-    points = _curve_points(fam, charpair.parse_nat(args.count, "count"))
+    count = charpair.parse_nat(args.count, "count")
     # The walk runs while rendering; writing starts only once it has finished,
     # so a curve that fails part way writes nothing.
-    pieces = _render_csv(points) if args.format == "csv" else [_render_svg(points)]
+    if args.format == "csv":
+        pieces = _render_csv(_curve_blocks(fam, count))
+    else:
+        pieces = [_render_svg(_curve_points(fam, count))]
     if args.out:
         try:
             with open(args.out, "w") as f:

@@ -9,7 +9,7 @@ import random
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import replace
 from functools import wraps
-from itertools import islice
+from itertools import islice, zip_longest
 
 from . import charpair, cli, encoders, guide, nadic, streams
 from .errors import FuelExhausted, PairbijError
@@ -274,23 +274,32 @@ def prefix_matches_loop(seeds: Iterable[charpair.SeedSpec], budgets: Iterable[in
 
 @_sweep
 def curve_walk_matches_unpair(specs: Iterable[str], budgets: Iterable[int], count: int):
-    """The curve command's walk by carries gives what unpair at every n gives.
+    """The curve command's block walk gives the points and CSV text that unpair at every n gives.
 
     The walk runs on a family of each spec and budget; the loop runs on a
     second family of the same spec with its guide removed, so it calls
-    unpair at every n. Both must give the same points, or the same error.
+    unpair at every n, and the CSV renderer formats each of its rows on its
+    own. Both must give the same points and text, or the same error.
     """
     budgets = list(budgets)
     for spec in specs:
         for budget in budgets:
-            walked = outcome(lambda: list(cli._curve_points(charpair.family(spec, budget), count)))
-            looped = outcome(lambda: list(cli._curve_points(
-                replace(charpair.family(spec, budget), guide=None), count)))
+            fams = charpair.family(spec, budget), replace(charpair.family(spec, budget), guide=None)
+            walked, looped = (outcome(lambda: list(cli._curve_points(f, count))) for f in fams)
             if walked != looped:
                 if walked[0] == looped[0] == "returned":
-                    n = next(i for i, (a, b) in enumerate(zip(walked[1], looped[1])) if a != b)
-                    walked, looped = walked[1][n], looped[1][n]
+                    points = zip_longest(walked[1], looped[1])
+                    walked, looped = next((a, b) for a, b in points if a != b)
                 yield f"curve {spec} {count}, budget {budget}: the walk gave {walked}, unpair {looped}"
+                continue
+            walked, looped = (outcome(lambda: "".join(cli._render_csv(cli._curve_blocks(f, count))))
+                              for f in fams)
+            if walked != looped:
+                if walked[0] == looped[0] == "returned":
+                    lines = zip_longest(walked[1].splitlines(), looped[1].splitlines())
+                    walked, looped = next((a, b) for a, b in lines if a != b)
+                yield (f"curve {spec} {count} csv, budget {budget}: the walk wrote {walked!r},"
+                       f" unpair {looped!r}")
 
 
 @_sweep

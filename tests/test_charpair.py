@@ -113,6 +113,23 @@ def test_bmerge_rejects_non_bits():
         list(charpair.bmerge([3], [5, 6], [7, 8]))
 
 
+def test_bmerge_spends_a_unit_per_guide_bit():
+    # the golden merge reads five guide bits: the singleton ending emits 60 unguided
+    args = ([0, 1, 0, 1, 0, 1], [20, 40, 60], [10, 30, 50])
+    fuel = streams.Fuel(5)
+    assert list(charpair.bmerge(*args, fuel)) == [10, 20, 30, 40, 50, 60]
+    assert fuel.remaining == 0
+    with pytest.raises(FuelExhausted):
+        list(charpair.bmerge(*args, streams.Fuel(4)))
+
+
+def test_bmerge_starving_guide_runs_out_of_fuel():
+    # an all-zeros guide keeps routing to the empty side, padding it with zeros
+    with pytest.raises(FuelExhausted) as info:
+        list(charpair.bmerge(streams.cycle([0]), [5, 6], [], streams.Fuel(1000)))
+    assert info.value.budget == 1000
+
+
 class _Peek:
     """Bounded lookahead over an iterator, with pushback for injected padding."""
 

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import sys
 import tracemalloc
@@ -453,3 +454,45 @@ def test_curve_walk_matches_unpair(seed_dir, data):
             charpair.family(spec, budget), guide=None)):
         looped = _curve_run(argv)
     assert walked == looped
+
+
+# The first block of the walk's 2**12 rows ends at 4095; 4096, 8192 and 12288 start
+# blocks whose carry reaches bits 12, 13 and 12 of n. Alternating bits delimit both
+# sides of a payload up to two bits shorter than the file: 15 bits first fail at
+# n = 8192, the last n <= 12289 where n gains a bit, and 12 bits at n = 1024.
+_BLOCK_COUNTS = (4095, 4096, 4097, 8193, 12289)
+_SHORT_SEEDS = {"10" * 7 + "1": 8192, "10" * 6: 1024}
+
+
+@pytest.mark.parametrize("head", ["morton", "squares", "powers2", "syracuse", "bits-of-naturals",
+                                  "arith-set:2", "arith-set:3", *_SHORT_SEEDS])
+def test_curve_blocks_match_unpair(tmp_path, head):
+    fails_at = _SHORT_SEEDS.get(head)
+    if fails_at:
+        path = tmp_path / "short.bits"
+        path.write_text(head)
+        head = f"seed-file:{path}"
+    for mask in (0, 5, 2**13 + 1, 2**20):
+        spec = f"{head},xor:{mask}" if mask else head
+        fam = charpair.family(spec)
+        # unpair at every n, each n unpaired once for all the commands below
+        looped = replace(fam, guide=None, unpair=functools.cache(fam.unpair))
+        for count in _BLOCK_COUNTS:
+            for form in ("csv", "svg"):
+                argv = ["curve", spec, str(count), form]
+                walked = _curve_run(argv)
+                with mock.patch.object(cli, "parse_family", lambda spec, budget: looped):
+                    assert _curve_run(argv) == walked, argv
+                if fails_at and mask == 0:
+                    fails = count >= fails_at
+                    assert walked[0] == (2 if fails else 0)
+                    assert walked[2].startswith(f"error: unpair failed at n={fails_at}:") == fails
+
+
+def test_curve_reaches_the_traced_entry_points(capsys):
+    # benchmarks/spans.py times the curve command by replacing these module attributes
+    with (mock.patch.object(cli, "parse_family", wraps=cli.parse_family) as parse,
+          mock.patch.object(cli, "_render_csv", wraps=cli._render_csv) as render):
+        assert run(capsys, "curve", "morton", "3", "csv") == (0, MORTON_CSV, "")
+    parse.assert_called_once()
+    render.assert_called_once()
