@@ -8,25 +8,26 @@ zeros in finite blocks yields a bijection; degenerate seeds make the process
 diverge, which fuel turns into a FuelExhausted error instead of a hang.
 
 Guides are routed in four places that stay apart on purpose: bmerge, bsplit,
-the inline loops of generic_pair and generic_unpair, and guide.GuidePrefix.
+and the merge and split of the two guide sources, SeedSpec and
+guide.GuidePrefix, which generic_pair and generic_unpair call alike.
   - bmerge's singleton endings emit the last element without consulting the
     guide, and its golden values depend on that; generic_pair's padding must
     respect positions past the end of one side, so it cannot take those
     endings.
   - generic_unpair run through the lazy bsplit generator, with the payload
-    padded by an end marker, was 23-87% slower per unpair than the inline
+    padded by an end marker, was 23-87% slower per unpair than SeedSpec's
     loop (morton at 16-1024 bits, squares at 16-64 bits; one-off best-of-5
     timings, Python 3.11 on a 2-core x86-64 host).
-  - The inline loops read a plain SeedSpec's guide from position 0 on every
-    call. They are the reference that GuidePrefix is tested against, and they
-    serve direct callers. A family reads its guide once into a GuidePrefix,
-    which routes each call's bits by slicing whole runs of equal bits. It has
-    a module of its own: compiled inside this one, without a bytecode cache,
-    it raised the peak memory of importing charpair by about 0.5 MB.
-  - The loops and the prefix charge fuel by one rule. A call reads at most
-    guide._read_limit(fuel) positions, what the fuel can pay for plus the one
-    pull past it, and guide._spend charges it once as it leaves, so both give
-    the fuel left and the error that metering each pull would give.
+  - SeedSpec's loops read the guide from position 0 on every call. They are
+    the reference that GuidePrefix is tested against, and they serve direct
+    callers. A family reads its guide once into a GuidePrefix, which routes
+    each call's bits by slicing whole runs of equal bits. It has a module of
+    its own: compiled inside this one, without a bytecode cache, it raised
+    the peak memory of importing charpair by about 0.5 MB.
+  - Both sources charge fuel by one rule, kept on streams.Fuel. A call
+    reads at most fuel.read_limit() positions, what the fuel can pay for plus
+    the one pull past it, and fuel.spend charges them once as it leaves, so
+    both give the fuel left and the error that metering each pull would give.
 """
 
 import sys
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from itertools import chain, count, islice, tee
 from math import isqrt
 from pathlib import Path
+from typing import ClassVar
 
 from . import encoders, nadic, streams
 from .errors import (
@@ -46,7 +48,7 @@ from .errors import (
     UnknownPreset,
     ZeroArgument,
 )
-from .guide import UNDELIMITED, UNPLACED, GuidePrefix, _read_limit, _spend, exhausted
+from .guide import UNDELIMITED, UNPLACED, GuidePrefix, exhausted
 
 
 def _nat_to_bits(n: int) -> list[int]:
@@ -157,14 +159,14 @@ class SeedSpec:
     """A characteristic function given as a value under a named encoder.
 
     The payload is a restartable description (a Stream or any reiterable).
-    generic_pair and generic_unpair given a SeedSpec read its guide afresh
-    from position zero on every call; a family reads it once, into a
-    GuidePrefix.
+    merge and split read its guide afresh from position zero on every call;
+    a family reads it once, into a GuidePrefix, which answers alike.
     """
 
     encoder: encoders.Encoder
     payload: object
     label: str
+    budget: ClassVar[int] = streams.DEFAULT_FUEL
 
     def bits(self, fuel: streams.Fuel) -> Iterator[int]:
         """Instantiate the guide as a fuel-metered bit iterator."""
@@ -182,12 +184,55 @@ class SeedSpec:
             return _validated_bits(src)
         return encoders.list_to_bins(self.encoder.forward(src))
 
+    def merge(self, xs: list[int], ys: list[int], fuel: streams.Fuel) -> list[int]:
+        """The bits generic_pair places: xs on the guide's ones, ys on its zeros,
+        zeros where a side has run out."""
+        lx, ly = len(xs), len(ys)
+        ix = iy = 0
+        merged: list[int] = []
+        try:
+            for bit in islice(self._guide(), fuel.read_limit()):
+                if bit == 1:
+                    if ix < lx:
+                        merged.append(xs[ix])
+                        ix += 1
+                    else:
+                        merged.append(0)
+                else:
+                    if iy < ly:
+                        merged.append(ys[iy])
+                        iy += 1
+                    else:
+                        merged.append(0)
+                if ix == lx and iy == ly:
+                    break
+        finally:
+            fuel.spend(len(merged))
+        if ix < lx or iy < ly:
+            raise exhausted(self.label, len(merged), UNPLACED)
+        return merged
 
-def _fresh_fuel(seed: SeedSpec | GuidePrefix, fuel: streams.Fuel | None) -> streams.Fuel:
-    if fuel is not None:
-        return fuel
-    budget = seed.budget if isinstance(seed, GuidePrefix) else streams.DEFAULT_FUEL
-    return streams.Fuel(budget, label=f"seed {seed.label}")
+    def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
+        """The bits generic_unpair routes to the guide's ones and to its zeros."""
+        length = len(payload)
+        collected: tuple[list[int], list[int]] = ([], [])
+        open_sides = [True, True]
+        pos = 0
+        try:
+            for bit in islice(self._guide(), fuel.read_limit()):
+                pos += 1
+                side = 0 if bit == 1 else 1
+                if pos <= length:
+                    collected[side].append(payload[pos - 1])
+                elif open_sides[side]:
+                    open_sides[side] = False
+                    if not open_sides[1 - side]:
+                        break
+        finally:
+            fuel.spend(pos)
+        if open_sides[0] or open_sides[1]:
+            raise exhausted(self.label, pos, UNDELIMITED)
+        return collected
 
 
 # -- the generic construction ------------------------------------------------------
@@ -203,41 +248,17 @@ def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
     a leftover bit early would land it on the other side's positions and
     break invertibility whenever the guide has runs longer than one.
 
-    Raises FuelExhausted if the seed starves one side (no finite blocks),
-    GuideExhausted if a finite seed runs out. Given a GuidePrefix, it answers
-    from the prefix's runs, with the same results and errors.
+    The seed's merge places the bits: a SeedSpec reads its guide from
+    position 0, a GuidePrefix slices its runs, with the same results and
+    errors. Without fuel, the call gets the seed's budget. Raises
+    FuelExhausted if the seed starves one side (no finite blocks),
+    GuideExhausted if a finite seed runs out.
     """
     if x < 0 or y < 0:
         raise ZeroArgument(f"pair is defined on naturals, got x={x}, y={y}")
-    fuel = _fresh_fuel(seed, fuel)
-    xs = _nat_to_bits(x)
-    ys = _nat_to_bits(y)
-    if isinstance(seed, GuidePrefix):
-        return _bits_to_nat(seed.merge(xs, ys, fuel))
-    lx, ly = len(xs), len(ys)
-    ix = iy = 0
-    merged: list[int] = []
-    try:
-        for bit in islice(seed._guide(), _read_limit(fuel)):
-            if bit == 1:
-                if ix < lx:
-                    merged.append(xs[ix])
-                    ix += 1
-                else:
-                    merged.append(0)
-            else:
-                if iy < ly:
-                    merged.append(ys[iy])
-                    iy += 1
-                else:
-                    merged.append(0)
-            if ix == lx and iy == ly:
-                break
-    finally:
-        _spend(fuel, len(merged))
-    if ix < lx or iy < ly:
-        raise exhausted(seed.label, len(merged), UNPLACED)
-    return _bits_to_nat(merged)
+    if fuel is None:
+        fuel = streams.Fuel(seed.budget, label=f"seed {seed.label}")
+    return _bits_to_nat(seed.merge(_nat_to_bits(x), _nat_to_bits(y), fuel))
 
 
 def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
@@ -249,35 +270,15 @@ def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
     complete once the guide routes it a first beyond-payload bit -- so the
     guide must keep offering both ones and zeros, and a seed that never again
     yields one of them diverges (caught by fuel) exactly like the merge
-    direction does. Given a GuidePrefix, it answers from the prefix's runs,
-    with the same results and errors.
+    direction does. The seed's split routes the bits, from either source
+    alike, and without fuel the call gets the seed's budget.
     """
     if n < 0:
         raise ZeroArgument(f"unpair is defined on naturals, got {n}")
-    fuel = _fresh_fuel(seed, fuel)
-    payload = _nat_to_bits(n)
-    if isinstance(seed, GuidePrefix):
-        ones, zeros = seed.split(payload, fuel)
-        return _bits_to_nat(ones), _bits_to_nat(zeros)
-    length = len(payload)
-    collected: tuple[list[int], list[int]] = ([], [])
-    open_sides = [True, True]
-    pos = 0
-    try:
-        for bit in islice(seed._guide(), _read_limit(fuel)):
-            pos += 1
-            side = 0 if bit == 1 else 1
-            if pos <= length:
-                collected[side].append(payload[pos - 1])
-            elif open_sides[side]:
-                open_sides[side] = False
-                if not open_sides[1 - side]:
-                    break
-    finally:
-        _spend(fuel, pos)
-    if open_sides[0] or open_sides[1]:
-        raise exhausted(seed.label, pos, UNDELIMITED)
-    return _bits_to_nat(collected[0]), _bits_to_nat(collected[1])
+    if fuel is None:
+        fuel = streams.Fuel(seed.budget, label=f"seed {seed.label}")
+    ones, zeros = seed.split(_nat_to_bits(n), fuel)
+    return _bits_to_nat(ones), _bits_to_nat(zeros)
 
 
 # -- named families ----------------------------------------------------------------
@@ -296,7 +297,6 @@ class PairingFamily:
     name: str
     pair: Callable[[int, int], int]
     unpair: Callable[[int], tuple[int, int]]
-    fuel_budget: int = streams.DEFAULT_FUEL
     guide: GuidePrefix | None = None
     mask: int = 0
 
@@ -315,7 +315,7 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
     def unpair(n: int) -> tuple[int, int]:
         return generic_unpair(guide, n, streams.Fuel(fuel_budget, label=label))
 
-    return PairingFamily(seed.label, pair, unpair, fuel_budget, guide)
+    return PairingFamily(seed.label, pair, unpair, guide=guide)
 
 
 def syracuse(n: int) -> int:
@@ -443,9 +443,8 @@ def twist_family(f: PairingFamily, mask: int) -> PairingFamily:
         f"{f.name},xor:{mask}",
         lambda x, y: f.pair(x, y) ^ mask,
         unpair,
-        f.fuel_budget,
-        f.guide,
-        f.mask ^ mask,
+        guide=f.guide,
+        mask=f.mask ^ mask,
     )
 
 

@@ -111,14 +111,16 @@ def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
     blocks start at multiples of 2**12, and row ns[t] has x = xs[tx[t]] and
     y = ys[ty[t]] for (xs, ys) = values and (tx, ty) = tables. tx[t] = X(t)
     and ty[t] = Y(t) serve every block; xs and ys list the block's distinct
-    x and y, at most 2**c and 2**(12 - c) of them, where c counts the ones
-    among the first 12 guide positions.
+    x and y, the unpair of its first n XOR each table value: at most 2**c
+    and 2**(12 - c) of them, where c counts the ones among the first 12
+    guide positions.
 
     What an unpair call reads and the fuel it spends grow with the bit
     length of n ^ mask, so unpair fails at some n <= count only if it fails
-    at the last n where that length grows. It runs there and at n = 0; only
-    if that call fails does it run at each n where the length grows, so
-    that the error names the first of them.
+    at the last n where that length grows. It runs there, at n = 0 and at
+    each later block's first n; only if the call at the last growth point
+    fails does it run at each n where the length grows, so that the error
+    names the first of them.
     """
     block = 1 << _BLOCK_BITS
     spans = (range(lo, min(lo + block, count + 1)) for lo in range(0, count + 1, block))
@@ -156,11 +158,8 @@ def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
     cx = guide.ones_before(width)
     cy = width - cx
     for ns in spans:
-        if ns.start:  # the carry into bit w - 1 flips bits 12..w-1 of n
-            w = (ns.start ^ (ns.start - 1)).bit_length()
-            c = guide.ones_before(w)
-            x ^= (1 << c) - (1 << cx)
-            y ^= (1 << (w - c)) - (1 << cy)
+        if ns.start:  # no bit length up to count fails, as checked above
+            x, y = fam.unpair(ns.start)
         yield ns, ([x ^ v for v in range(1 << cx)], [y ^ v for v in range(1 << cy)]), (tx, ty)
 
 
@@ -194,8 +193,9 @@ def _render_csv(blocks) -> list[str]:
 def _render_svg(points) -> str:
     points = list(points)  # the scale needs the largest coordinate first
     span = max(max(x for _, x, _ in points), max(y for _, _, y in points), 1)
-    scale = 980 / span
-    coords = " ".join(f"{10 + x * scale:.2f},{10 + y * scale:.2f}" for _, x, y in points)
+    # int / int is correctly rounded and never overflows, as x * (980 / span) can.
+    coords = " ".join(f"{10 + x * 980 / span:.2f},{10 + y * 980 / span:.2f}"
+                      for _, x, y in points)
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">\n'
         f'  <polyline fill="none" stroke="black" stroke-width="1" points="{coords}"/>\n'

@@ -1,12 +1,11 @@
 """A seed's guide, read once and kept as runs of equal bits, for a pairing family to share.
 
-charpair.generic_pair and generic_unpair read a plain SeedSpec's guide from
-position 0 on every call: that loop is the reference. A family reads its
-guide once into a GuidePrefix, and the same two functions, given the prefix
-where the seed goes, route bits by whole runs instead.
+charpair.SeedSpec.merge and split read a plain seed's guide from position 0
+on every call: that loop is the reference. A family reads its guide once
+into a GuidePrefix, whose merge and split route bits by whole runs instead;
+charpair.generic_pair and generic_unpair call either source alike.
 """
 
-import sys
 import threading
 from array import array
 from bisect import bisect_right
@@ -23,18 +22,6 @@ def exhausted(label: str, position: int, what: str) -> GuideExhausted:
     """The error of a finite guide that ended after `position` positions."""
     return GuideExhausted(f"guide of seed {label} ended at position {position} {what}",
                           position=position, label=label)
-
-
-def _read_limit(fuel: streams.Fuel) -> int:
-    """The guide positions a call may read: what the fuel can pay for, plus
-    the one pull past it, which _spend charges and Fuel.tick refuses."""
-    return min(max(fuel.remaining, 0), sys.maxsize - 1) + 1
-
-
-def _spend(fuel: streams.Fuel, read: int) -> None:
-    """Tick the `read` positions a call reads, or, if fewer, one past what the
-    fuel has left: the pull that metering each pull would refuse."""
-    fuel.tick(min(read, max(fuel.remaining, 0) + 1))
 
 
 def _again(e: Exception) -> Exception:
@@ -111,7 +98,7 @@ class GuidePrefix:
         if fuel.remaining > self.budget:
             raise ValueError(f"fuel of {fuel.remaining} pulls exceeds the budget"
                              f" of the guide prefix of {self.label}, {self.budget}")
-        limit = _read_limit(fuel)
+        limit = fuel.read_limit()
         state = self._state
         runs, n, o, stop = state
         while ((o < ones or n - o < zeros or not runs or self._starts[runs - 1] <= past)
@@ -125,7 +112,7 @@ class GuidePrefix:
 
     def _fail(self, n: int, stop, fuel: streams.Fuel, what: str):
         """Fail as the loop does on a call that needs more than the `n` positions read."""
-        _spend(fuel, n)
+        fuel.spend(n)
         if isinstance(stop, StopIteration):
             raise exhausted(self.label, n, what)
         raise _again(stop)
@@ -157,7 +144,7 @@ class GuidePrefix:
         p1 = starts[r1] + lx - 1 - ones[r1]
         p0 = starts[r0] + ly - 1 - zeros[r0]
         end = max(p1, p0) + 1
-        _spend(fuel, end)
+        fuel.spend(end)
         if p1 > p0:
             reach, xend, yend = r1 + 1, lx, end - lx
             ys += [0] * (yend - ly)
@@ -187,7 +174,7 @@ class GuidePrefix:
         after = bisect_right(starts, length, 0, runs)
         if after == runs:
             self._fail(known, stop, fuel, UNDELIMITED)
-        _spend(fuel, starts[after] + 1)
+        fuel.spend(starts[after] + 1)
         # Runs 0..after-1 cover the payload; runs 2i and 2i+1 go to different
         # sides. A slice may run past the payload's end, which cuts it there.
         a: list[int] = []

@@ -9,6 +9,7 @@ generic_pair/generic_unpair given a plain SeedSpec re-traverse it per call.
 """
 
 import itertools
+import sys
 from collections.abc import Callable, Iterable, Iterator
 
 from .errors import EmptyCycle, FuelExhausted, ZeroStep
@@ -41,6 +42,16 @@ class Fuel:
                 f"no progress after {self.budget} stream pulls{where}",
                 budget=self.budget, label=self.label,
             )
+
+    def read_limit(self) -> int:
+        """The positions a guide reader may read: what the fuel can pay for,
+        plus the one pull past it, which spend charges and tick refuses."""
+        return min(max(self.remaining, 0), sys.maxsize - 1) + 1
+
+    def spend(self, read: int) -> None:
+        """Tick the `read` positions a reader read, or, if fewer, one past what
+        the fuel has left: the pull that metering each pull would refuse."""
+        self.tick(min(read, max(self.remaining, 0) + 1))
 
     def meter(self, xs: Iterable[int]) -> Iterator[int]:
         """Yield from xs, spending one unit of fuel per element."""

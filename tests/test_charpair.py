@@ -2,6 +2,7 @@ import sys
 import threading
 from collections import deque
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -728,6 +729,22 @@ def test_family_fields_follow_twists():
     assert charpair.twist_family(base, 7).guide is base.guide
     for spec in ("nadic:3", "cantor", "cantor,xor:3"):
         assert charpair.family(spec).guide is None
+
+
+@pytest.mark.parametrize("spec", ["morton", "squares,xor:5"])
+def test_family_reaches_the_traced_entry_points(spec):
+    # benchmarks/spans.py times the guide families by replacing these module
+    # attributes, and reads the fuel spent from the Fuel argument
+    fam = charpair.family(spec)
+    with (mock.patch.object(charpair, "generic_pair", wraps=charpair.generic_pair) as pair,
+          mock.patch.object(charpair, "generic_unpair", wraps=charpair.generic_unpair) as unpair,
+          mock.patch.object(charpair, "_nat_to_bits", wraps=charpair._nat_to_bits) as to_bits,
+          mock.patch.object(charpair, "_bits_to_nat", wraps=charpair._bits_to_nat) as to_nat):
+        assert fam.unpair(fam.pair(5, 3)) == (5, 3)
+    for call in (pair, unpair):
+        call.assert_called_once()
+        assert any(isinstance(a, streams.Fuel) for a in call.call_args.args)
+    assert (to_bits.call_count, to_nat.call_count) == (3, 3)
 
 
 def test_prefix_refuses_a_larger_budget():

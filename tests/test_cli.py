@@ -145,6 +145,17 @@ def test_curve_svg_structure(tmp_path, capsys):
     assert len(points) == 51
 
 
+@pytest.mark.parametrize("spec", ["morton", "squares"])
+def test_curve_svg_past_the_float_range(capsys, spec):
+    code, out, err = run(capsys, "curve", f"{spec},xor:{2**2100}", "3", "svg")
+    assert (code, err) == (0, "")
+    points = out.split('points="')[1].split('"')[0].split()
+    assert len(points) == 4
+    for point in points:
+        x, y = map(float, point.split(","))
+        assert 10 <= x <= 990 and 10 <= y <= 990
+
+
 def test_curve_points_distinct(tmp_path):
     out = tmp_path / "c.csv"
     assert cli.main(["curve", "syracuse", "400", "csv", "--out", str(out)]) == 0

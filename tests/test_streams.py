@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from pairbij import streams
@@ -122,3 +124,46 @@ def test_fuel_tick_refuses_a_refund():
 def test_fuel_budget_must_be_positive():
     with pytest.raises(ValueError):
         streams.Fuel(0)
+
+
+def test_fuel_read_limit_and_spend():
+    fuel = streams.Fuel(10)
+    assert fuel.read_limit() == 11  # what the fuel pays for, and the pull past it
+    fuel.spend(4)
+    assert (fuel.remaining, fuel.read_limit()) == (6, 7)
+    fuel.spend(6)
+    assert (fuel.remaining, fuel.read_limit()) == (0, 1)
+    with pytest.raises(FuelExhausted):
+        fuel.spend(5)  # charged one past what was left, not all five
+    assert fuel.remaining == -1
+
+
+def test_overspent_fuel_reads_one_and_spends_one():
+    fuel = streams.Fuel(5)
+    with pytest.raises(FuelExhausted):
+        fuel.tick(8)
+    assert (fuel.remaining, fuel.read_limit()) == (-3, 1)
+    with pytest.raises(FuelExhausted):
+        fuel.spend(5)
+    assert fuel.remaining == -4
+
+
+def test_fuel_read_limit_past_the_word_size():
+    fuel = streams.Fuel(10**30)
+    assert fuel.read_limit() == sys.maxsize  # an islice bound
+    fuel.spend(10**29)
+    assert fuel.remaining == 9 * 10**29
+
+
+def test_fuel_spend_zero_never_refunds():
+    fuel = streams.Fuel(3)
+    fuel.spend(0)
+    assert fuel.remaining == 3
+    fuel.spend(3)
+    fuel.spend(0)
+    assert fuel.remaining == 0
+    with pytest.raises(FuelExhausted):
+        fuel.spend(1)
+    with pytest.raises(FuelExhausted):
+        fuel.spend(0)
+    assert fuel.remaining == -1
