@@ -7,34 +7,33 @@ split the same way. Any seed whose guide keeps alternating between ones and
 zeros in finite blocks yields a bijection; degenerate seeds make the process
 diverge, which fuel turns into a FuelExhausted error instead of a hang.
 
-Guides are routed in four places that stay apart on purpose: bmerge, bsplit,
-and the merge and split of the two guide sources, SeedSpec and
-guide.GuidePrefix, which generic_pair and generic_unpair call alike.
+Guides are routed in three places: bmerge, bsplit and SeedSpec.merge.
+generic_pair and generic_unpair call either guide source alike: a SeedSpec,
+or a guide.GuidePrefix, the fast path.
   - bmerge's singleton endings emit the last element without consulting the
     guide, and its golden values depend on that; generic_pair's padding must
-    respect positions past the end of one side, so it cannot take those
-    endings.
-  - generic_unpair run through the lazy bsplit generator, with the payload
-    padded by an end marker, was 23-87% slower per unpair than SeedSpec's
-    loop (morton at 16-1024 bits, squares at 16-64 bits; one-off best-of-5
-    timings, Python 3.11 on a 2-core x86-64 host).
-  - SeedSpec's loops read the guide from position 0 on every call. They are
-    the reference that GuidePrefix is tested against, and they serve direct
+    respect positions past the end of one side, so SeedSpec.merge keeps a
+    loop of its own.
+  - SeedSpec's merge and split (bsplit, read to each side's first end
+    marker) read the guide from position 0 on every call. They are the
+    reference that GuidePrefix is tested against, and they serve direct
     callers. A family reads its guide once into a GuidePrefix, which routes
     each call's bits by slicing whole runs of equal bits. It has a module of
     its own: compiled inside this one, without a bytecode cache, it raised
     the peak memory of importing charpair by about 0.5 MB.
-  - Both sources charge fuel by one rule, kept on streams.Fuel. A call
-    reads at most fuel.read_limit() positions, what the fuel can pay for plus
-    the one pull past it, and fuel.spend charges them once as it leaves, so
-    both give the fuel left and the error that metering each pull would give.
+  - Every reader charges what metering each pull charges. SeedSpec.merge and
+    GuidePrefix read at most fuel.read_limit() positions and charge them
+    once, through fuel.spend, as they leave: a refusal reads the whole
+    budget, and the refusal cells of the sparse-wide benchmark workload time
+    the merge loop. SeedSpec.split meters each pull, since bsplit would
+    report a guide cut at the read limit as exhausted, not out of fuel.
 """
 
 import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, count, islice, tee
+from itertools import chain, count, islice, repeat, tee
 from math import isqrt
 from pathlib import Path
 from typing import ClassVar
@@ -56,9 +55,14 @@ def _nat_to_bits(n: int) -> list[int]:
     return list(encoders.list_to_bins(nadic.nat_to_nats(2, n)))
 
 
-def _bits_to_nat(bits: Iterable[int]) -> int:
-    """Decode a bit sequence; an empty or all-zero sequence decodes to 0."""
-    return nadic.nats_to_nat(2, encoders.bins_to_list(bits))
+def _bits_to_nat(bits: list[int]) -> int:
+    """Decode a list of the ints 0 and 1; an empty or all-zero list decodes to 0.
+
+    The gaps between ones are found in one pass over the packed bytes. The
+    list is always built here from bit forms and zero padding, so it is not
+    checked; encoders.bins_to_list reads bits from outside.
+    """
+    return nadic.nats_to_nat(2, map(len, bytes(bits).split(b"\x01")[:-1]))
 
 
 # -- guided splitting and merging ------------------------------------------------
@@ -213,26 +217,20 @@ class SeedSpec:
         return merged
 
     def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
-        """The bits generic_unpair routes to the guide's ones and to its zeros."""
-        length = len(payload)
-        collected: tuple[list[int], list[int]] = ([], [])
-        open_sides = [True, True]
-        pos = 0
+        """The bits generic_unpair routes to the guide's ones and to its zeros.
+
+        bsplit routes the payload, then end markers; a side ends at its first.
+        """
+        start = fuel.remaining
+        ones, zeros = bsplit(self.bits(fuel), chain(payload, repeat(None)))
         try:
-            for bit in islice(self._guide(), fuel.read_limit()):
-                pos += 1
-                side = 0 if bit == 1 else 1
-                if pos <= length:
-                    collected[side].append(payload[pos - 1])
-                elif open_sides[side]:
-                    open_sides[side] = False
-                    if not open_sides[1 - side]:
-                        break
+            return list(iter(ones.__next__, None)), list(iter(zeros.__next__, None))
+        except GuideExhausted:
+            raise exhausted(self.label, start - fuel.remaining, UNDELIMITED) from None
         finally:
-            fuel.spend(pos)
-        if open_sides[0] or open_sides[1]:
-            raise exhausted(self.label, pos, UNDELIMITED)
-        return collected
+            # Fuel overspent before the call refuses it even when the guide
+            # ends before its first pull, as spend does for the other readers.
+            fuel.spend(0)
 
 
 # -- the generic construction ------------------------------------------------------
@@ -339,26 +337,31 @@ def nsyr(n: int, fuel: streams.Fuel | None = None) -> list[int]:
 
 def _nat_bits_stream() -> streams.Stream:
     """The concatenated bit forms of 0, 1, 2, ...: an aperiodic infinite seed."""
-    return streams.Stream(lambda: chain.from_iterable(map(_nat_to_bits, count())))
+    return streams.Stream(lambda: chain.from_iterable(
+        encoders.as_(encoders.BINS, encoders.NAT, n) for n in count()))
 
 
 def preset_seed(name: str, k: int | None = None) -> SeedSpec:
-    """The named seed specs shipped with the package."""
-    if name == "morton":
-        return SeedSpec(encoders.BINS, streams.cycle([1, 0]), "morton")
+    """The named seed specs shipped with the package; only arith-set takes a step k."""
     if name == "arith-set":
         if k is None or k < 1:
             raise UnknownPreset(f"arith-set needs a step k >= 1, got {k}")
         return SeedSpec(encoders.SET, streams.arith(0, k), f"arith-set:{k}")
-    if name == "squares":
-        return SeedSpec(encoders.SET, streams.smap(lambda i: i * i, streams.arith(0, 1)), "squares")
-    if name == "powers2":
-        return SeedSpec(encoders.SET, streams.smap(lambda i: 2**i, streams.arith(0, 1)), "powers2")
-    if name == "syracuse":
-        return SeedSpec(encoders.LIST, streams.smap(syracuse, streams.arith(0, 1)), "syracuse")
-    if name == "bits-of-naturals":
-        return SeedSpec(encoders.BINS, _nat_bits_stream(), "bits-of-naturals")
-    raise UnknownPreset(f"unknown pairing preset {name!r}")
+    if name == "morton":
+        seed = SeedSpec(encoders.BINS, streams.cycle([1, 0]), "morton")
+    elif name == "squares":
+        seed = SeedSpec(encoders.SET, streams.smap(lambda i: i * i, streams.arith(0, 1)), "squares")
+    elif name == "powers2":
+        seed = SeedSpec(encoders.SET, streams.smap(lambda i: 2**i, streams.arith(0, 1)), "powers2")
+    elif name == "syracuse":
+        seed = SeedSpec(encoders.LIST, streams.smap(syracuse, streams.arith(0, 1)), "syracuse")
+    elif name == "bits-of-naturals":
+        seed = SeedSpec(encoders.BINS, _nat_bits_stream(), "bits-of-naturals")
+    else:
+        raise UnknownPreset(f"unknown pairing preset {name!r}")
+    if k is not None:
+        raise UnknownPreset(f"preset {name} takes no step k, got k={k}")
+    return seed
 
 
 def preset_family(name: str, k: int | None = None,

@@ -138,21 +138,9 @@ def list_to_bins(ns: Iterable[int]) -> Iterator[int]:
 def bins_to_list(bs: Iterable[int]) -> Iterator[int]:
     """Count the zeros before each one; zeros after the last one are padding.
 
-    A list of the ints 0 and 1 is split at its ones in one pass; anything
-    else is read a bit at a time, so a bad bit fails where it stands.
+    Bits are read one at a time, so a bit other than 0 or 1 fails where it
+    stands.
     """
-    if isinstance(bs, list):
-        try:
-            packed = bytes(bs)
-        except (TypeError, ValueError):
-            pass
-        else:
-            if not packed.translate(None, b"\x00\x01"):
-                return map(len, packed.split(b"\x01")[:-1])
-    return _bins_to_list(bs)
-
-
-def _bins_to_list(bs: Iterable[int]) -> Iterator[int]:
     gap = 0
     for bit in bs:
         if bit == 0:

@@ -1,7 +1,7 @@
 """A seed's guide, read once and kept as runs of equal bits, for a pairing family to share.
 
 charpair.SeedSpec.merge and split read a plain seed's guide from position 0
-on every call: that loop is the reference. A family reads its guide once
+on every call: they are the reference. A family reads its guide once
 into a GuidePrefix, whose merge and split route bits by whole runs instead;
 charpair.generic_pair and generic_unpair call either source alike.
 """

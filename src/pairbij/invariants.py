@@ -371,6 +371,9 @@ SELFTESTS: list[tuple[str, Callable[[int], list[str]]]] = [
     ("guide prefix vs loop", lambda r: prefix_matches_loop(
         [charpair.family(spec).guide.seed for spec in SELFTEST_FAMILIES + ("arith-set:1",)],
         (3, 64, 2000), min(r, 100), min(r, 6))),
+    # Walks past 2**11 fill the tables to guide position 11, where both guides
+    # of the second walk hold a one.
     ("curve walk vs unpair", lambda r: curve_walk_matches_unpair(
-        SELFTEST_FAMILIES + ("squares,xor:5000", "arith-set:1"), (3, 64), min(r, 1000))),
+        SELFTEST_FAMILIES + ("squares,xor:5000", "arith-set:1"), (3, 64), min(r, 1000))
+        + curve_walk_matches_unpair(("bits-of-naturals", "arith-set:11"), (3, 64), 2100)),
 ]

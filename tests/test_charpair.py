@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairbij import charpair, encoders, guide, streams
+from pairbij import charpair, encoders, guide, nadic, streams
 from pairbij.errors import (
     FuelExhausted,
     GuideExhausted,
@@ -203,6 +203,35 @@ def test_split_merge_duality():
     assert list(charpair.bmerge(guide, list(a), list(b))) == ns
 
 
+# -- bit forms -------------------------------------------------------------------------
+
+BIT_LISTS = st.one_of(
+    st.lists(st.integers(0, 1), max_size=40),
+    st.integers(0, 2**12).map(lambda k: [0] * k),
+    # up to 2**12 random bits, then trailing zeros
+    st.builds(lambda data, pad: [b >> i & 1 for b in data for i in range(8)] + [0] * pad,
+              st.binary(max_size=2**9), st.integers(0, 70)),
+)
+
+
+@given(BIT_LISTS)
+@settings(max_examples=200, deadline=None)
+def test_bits_to_nat_matches_the_hub(bits):
+    assert charpair._bits_to_nat(bits) == nadic.nats_to_nat(2, list(encoders.bins_to_list(bits)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 2**63, 2**64, 2**(2**16 - 1)],
+                         ids=["0", "2^0", "2^1", "2^63", "2^64", "2^65535"])
+def test_bit_form_roundtrip_at_powers_of_two(n):
+    assert charpair._bits_to_nat(charpair._nat_to_bits(n)) == n
+
+
+@given(st.integers(0, 2**16).flatmap(lambda w: st.integers(0, 2**w - 1)))
+@settings(max_examples=25, deadline=None)
+def test_bit_form_roundtrip(n):
+    assert charpair._bits_to_nat(charpair._nat_to_bits(n)) == n
+
+
 # -- the generic construction ----------------------------------------------------------
 
 def _seed(payload, encoder=encoders.BINS, label="test"):
@@ -297,6 +326,14 @@ def test_unknown_preset():
         charpair.preset_family("arith-set", 0)
     with pytest.raises(UnknownPreset):
         charpair.preset_family("arith-set")
+
+
+@pytest.mark.parametrize("name, k", [("morton", 3), ("squares", 5), ("bits-of-naturals", 0)])
+def test_preset_without_a_step_refuses_one(name, k):
+    with pytest.raises(UnknownPreset, match=f"preset {name} takes no step k, got k={k}"):
+        charpair.preset_seed(name, k)
+    with pytest.raises(UnknownPreset, match=f"preset {name} takes no step"):
+        charpair.preset_family(name, k)
 
 
 # -- divergence --------------------------------------------------------------------

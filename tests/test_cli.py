@@ -438,7 +438,7 @@ def _draw_head(data, seed_dir) -> tuple[str, int]:
                                           "bits-of-naturals"]))
         return name, budget
     if kind == "arith-set":
-        k = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, 12))  # 11: a one at position 11, in the walk's tables
         if k == 1:  # the all-ones guide starves: each call would spend the default budget
             budget = data.draw(st.integers(1, 64))
         return f"arith-set:{k}", budget
@@ -456,7 +456,8 @@ def test_curve_walk_matches_unpair(seed_dir, data):
     head, budget = _draw_head(data, seed_dir)
     masks = data.draw(st.lists(st.integers(0, 2**14), max_size=3))
     spec = head + "".join(f",xor:{m}" for m in masks)
-    count = data.draw(st.integers(0, 3000))
+    # from 2**11 on, the walk's tables reach guide position 11
+    count = data.draw(st.integers(0, 3000) | st.integers(2048, 3000))
     argv = ["--fuel", str(budget), "curve", spec, str(count),
             data.draw(st.sampled_from(["csv", "svg"]))]
     walked = _curve_run(argv)
