@@ -7,26 +7,32 @@ split the same way. Any seed whose guide keeps alternating between ones and
 zeros in finite blocks yields a bijection; degenerate seeds make the process
 diverge, which fuel turns into a FuelExhausted error instead of a hang.
 
-Guides are routed in three places: bmerge, bsplit and SeedSpec.merge.
-generic_pair and generic_unpair call either guide source alike: a SeedSpec,
-or a guide.GuidePrefix, the fast path.
+Guides are routed in three places: bmerge, _route (behind bsplit and
+SeedSpec.split) and SeedSpec.merge. generic_pair and generic_unpair call
+any of three guide sources alike: a SeedSpec, or one of the fast paths in
+guide, a GuidePrefix or a PeriodicGuide; family_from_seed picks the one a
+family keeps.
   - bmerge's singleton endings emit the last element without consulting the
     guide, and its golden values depend on that; generic_pair's padding must
     respect positions past the end of one side, so SeedSpec.merge keeps a
     loop of its own.
-  - SeedSpec's merge and split (bsplit, read to each side's first end
-    marker) read the guide from position 0 on every call. They are the
-    reference that GuidePrefix is tested against, and they serve direct
-    callers. A family reads its guide once into a GuidePrefix, which routes
-    each call's bits by slicing whole runs of equal bits. It has a module of
-    its own: compiled inside this one, without a bytecode cache, it raised
-    the peak memory of importing charpair by about 0.5 MB.
+  - SeedSpec's merge and split read the guide from position 0 on every
+    call. They are the reference that the fast paths are tested against,
+    and they serve direct callers. A family whose seed repeats a pattern
+    holding both bits keeps a PeriodicGuide, which places each call's bits
+    with an extended slice per pattern position; any other family reads its
+    guide once into a GuidePrefix, which routes each call's bits by slicing
+    whole runs of equal bits. They have a module of their own: compiled
+    inside this one, without a bytecode cache, the prefix raised the peak
+    memory of importing charpair by about 0.5 MB.
   - Every reader charges what metering each pull charges. SeedSpec.merge and
     GuidePrefix read at most fuel.read_limit() positions and charge them
     once, through fuel.spend, as they leave: a refusal reads the whole
     budget, and the refusal cells of the sparse-wide benchmark workload time
-    the merge loop. SeedSpec.split meters each pull, since bsplit would
-    report a guide cut at the read limit as exhausted, not out of fuel.
+    the merge loop. A PeriodicGuide charges the positions the loop would
+    read, in closed form, through fuel.spend. SeedSpec.split meters each
+    pull, since _route would report a guide cut at the read limit as
+    exhausted, not out of fuel.
 """
 
 import sys
@@ -47,7 +53,7 @@ from .errors import (
     UnknownPreset,
     ZeroArgument,
 )
-from .guide import UNDELIMITED, UNPLACED, GuidePrefix, exhausted
+from .guide import UNDELIMITED, UNPLACED, GuidePrefix, PeriodicGuide, exhausted, periodic_pattern
 
 
 def _nat_to_bits(n: int) -> list[int]:
@@ -164,7 +170,7 @@ class SeedSpec:
 
     The payload is a restartable description (a Stream or any reiterable).
     merge and split read its guide afresh from position zero on every call;
-    a family reads it once, into a GuidePrefix, which answers alike.
+    a family keeps a faster source (see family_from_seed), which answers alike.
     """
 
     encoder: encoders.Encoder
@@ -219,12 +225,23 @@ class SeedSpec:
     def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
         """The bits generic_unpair routes to the guide's ones and to its zeros.
 
-        bsplit routes the payload, then end markers; a side ends at its first.
+        _route pairs the payload, then end markers, with guide bits, as bsplit
+        does; a side ends at its first marker, and the call once both have.
+        Both sides are collected in that one pass, so a guide that starves a
+        side holds nothing for it.
         """
         start = fuel.remaining
-        ones, zeros = bsplit(self.bits(fuel), chain(payload, repeat(None)))
+        sides, open_sides = {1: [], 0: []}, {1, 0}
         try:
-            return list(iter(ones.__next__, None)), list(iter(zeros.__next__, None))
+            for bit, n in _route(self.bits(fuel), chain(payload, repeat(None))):
+                if bit is None:
+                    raise n
+                if n is not None:
+                    sides[bit].append(n)
+                else:
+                    open_sides.discard(bit)
+                    if not open_sides:
+                        return sides[1], sides[0]
         except GuideExhausted:
             raise exhausted(self.label, start - fuel.remaining, UNDELIMITED) from None
         finally:
@@ -235,7 +252,7 @@ class SeedSpec:
 
 # -- the generic construction ------------------------------------------------------
 
-def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
+def generic_pair(seed: SeedSpec | GuidePrefix | PeriodicGuide, x: int, y: int,
                  fuel: streams.Fuel | None = None) -> int:
     """Pair (x, y) under the seed's characteristic function.
 
@@ -247,10 +264,10 @@ def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
     break invertibility whenever the guide has runs longer than one.
 
     The seed's merge places the bits: a SeedSpec reads its guide from
-    position 0, a GuidePrefix slices its runs, with the same results and
-    errors. Without fuel, the call gets the seed's budget. Raises
-    FuelExhausted if the seed starves one side (no finite blocks),
-    GuideExhausted if a finite seed runs out.
+    position 0, a GuidePrefix slices its runs and a PeriodicGuide its
+    pattern positions, with the same results and errors. Without fuel, the
+    call gets the seed's budget. Raises FuelExhausted if the seed starves one
+    side (no finite blocks), GuideExhausted if a finite seed runs out.
     """
     if x < 0 or y < 0:
         raise ZeroArgument(f"pair is defined on naturals, got x={x}, y={y}")
@@ -259,7 +276,7 @@ def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
     return _bits_to_nat(seed.merge(_nat_to_bits(x), _nat_to_bits(y), fuel))
 
 
-def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
+def generic_unpair(seed: SeedSpec | GuidePrefix | PeriodicGuide, n: int,
                    fuel: streams.Fuel | None = None) -> tuple[int, int]:
     """Split n under the seed's characteristic function; inverse of generic_pair.
 
@@ -295,16 +312,23 @@ class PairingFamily:
     name: str
     pair: Callable[[int, int], int]
     unpair: Callable[[int], tuple[int, int]]
-    guide: GuidePrefix | None = None
+    guide: GuidePrefix | PeriodicGuide | None = None
     mask: int = 0
 
 
 def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) -> PairingFamily:
     """Bundle the generic construction over one seed; each call gets fresh fuel.
 
-    The calls share one GuidePrefix, so the guide is read once per family.
+    This is the one place that picks a family's guide source, which its
+    calls share: a PeriodicGuide when the seed's guide repeats a pattern
+    holding both a 0 and a 1, else a GuidePrefix, so that the guide is read
+    once per family.
     """
-    guide = GuidePrefix(seed, fuel_budget)
+    pattern = periodic_pattern(seed)
+    if 0 in pattern and 1 in pattern:
+        guide = PeriodicGuide(seed, pattern, fuel_budget)
+    else:
+        guide = GuidePrefix(seed, fuel_budget)
     label = f"seed {seed.label}"
 
     def pair(x: int, y: int) -> int:

@@ -1,17 +1,22 @@
-"""A seed's guide, read once and kept as runs of equal bits, for a pairing family to share.
+"""A family's guide source: its seed's guide read once as runs, or a repeated pattern.
 
 charpair.SeedSpec.merge and split read a plain seed's guide from position 0
-on every call: they are the reference. A family reads its guide once
-into a GuidePrefix, whose merge and split route bits by whole runs instead;
-charpair.generic_pair and generic_unpair call either source alike.
+on every call: they are the reference. A family holds one of two faster
+sources instead, picked by charpair.family_from_seed, and
+charpair.generic_pair and generic_unpair call all three alike:
+  - a GuidePrefix reads the guide once and routes bits by whole runs;
+  - a PeriodicGuide serves a seed whose guide repeats a pattern holding both
+    bits from position 0 (periodic_pattern finds it from the seed's encoder
+    and payload), and routes bits with one extended slice per pattern
+    position, reading no guide at all.
 """
 
 import threading
 from array import array
 from bisect import bisect_right
-from itertools import islice
+from itertools import accumulate, islice
 
-from . import streams
+from . import encoders, streams
 from .errors import GuideExhausted
 
 UNPLACED = "with bits left to place"
@@ -22,6 +27,13 @@ def exhausted(label: str, position: int, what: str) -> GuideExhausted:
     """The error of a finite guide that ended after `position` positions."""
     return GuideExhausted(f"guide of seed {label} ended at position {position} {what}",
                           position=position, label=label)
+
+
+def _check_fuel(source, fuel: streams.Fuel) -> None:
+    """Refuse fuel past the source's budget, which a GuidePrefix never reads to."""
+    if fuel.remaining > source.budget:
+        raise ValueError(f"fuel of {fuel.remaining} pulls exceeds the budget"
+                         f" of the guide of {source.label}, {source.budget}")
 
 
 def _again(e: Exception) -> Exception:
@@ -95,9 +107,7 @@ class GuidePrefix:
         """The state once it holds `ones` ones, `zeros` zeros and a run starting
         after position `past`, or once the guide has stopped or more positions
         are read than the fuel can pay for."""
-        if fuel.remaining > self.budget:
-            raise ValueError(f"fuel of {fuel.remaining} pulls exceeds the budget"
-                             f" of the guide prefix of {self.label}, {self.budget}")
+        _check_fuel(self, fuel)
         limit = fuel.read_limit()
         state = self._state
         runs, n, o, stop = state
@@ -189,3 +199,94 @@ class GuidePrefix:
         a += payload[i:j]
         b += payload[j:]
         return (a, b) if self._first else (b, a)
+
+
+def periodic_pattern(seed) -> tuple[int, ...]:
+    """The bits a seed's guide repeats from position 0, or () when that is not known.
+
+    A bins seed over streams.cycle(t) repeats t when every element is 0 or 1,
+    read as the reference loop reads bits (any bit equal to 1 is a one); a
+    set seed over streams.arith(0, k) repeats a one and k - 1 zeros.
+    """
+    kind, *args = getattr(seed.payload, "shape", None) or ("",)
+    if kind == "cycle" and seed.encoder is encoders.BINS and all(b in (0, 1) for b in args[0]):
+        return tuple(int(b == 1) for b in args[0])
+    if (kind == "arith" and seed.encoder is encoders.SET
+            and type(args[0]) is type(args[1]) is int and args[0] == 0):
+        return (1,) + (0,) * (args[1] - 1)
+    return ()
+
+
+class PeriodicGuide:
+    """The guide of one seed (a charpair.SeedSpec) that repeats a pattern of p bits.
+
+    If r is the q-th of the pattern's c1 one-positions, the guide's ones
+    q, q + c1, q + 2*c1, ... sit at positions r, r + p, r + 2p, ..., so merge
+    places a call's bits with one extended-slice assignment per pattern
+    position, out[r::p] = xs[q::c1], the zero-positions taking ys alike, and
+    split takes them back the same way. The positions the reference loop
+    would read have a closed form, and each call is charged them through
+    fuel.spend, so it gives the loop's answers and errors and leaves the
+    same fuel. The pattern must hold a 0 and a 1: a guide that starves a
+    side keeps the GuidePrefix, whose refusal reads to the budget as the
+    loop does. Nothing changes after construction, so calls may come from
+    several threads.
+    """
+
+    __slots__ = ("seed", "label", "budget", "_period", "_ones", "_zeros", "_ones_below")
+
+    def __init__(self, seed, pattern: tuple[int, ...], fuel_budget: int = streams.DEFAULT_FUEL):
+        if 0 not in pattern or 1 not in pattern:
+            raise ValueError(f"a periodic guide needs a 0 and a 1 in its pattern, got {pattern}")
+        self.seed = seed
+        self.label = seed.label
+        self.budget = fuel_budget
+        self._period = len(pattern)
+        self._ones = [r for r, bit in enumerate(pattern) if bit]
+        self._zeros = [r for r, bit in enumerate(pattern) if not bit]
+        self._ones_below = list(accumulate(pattern, initial=0))
+
+    def _at(self, j: int, rs: list[int]) -> int:
+        """The position of the guide's j-th one (rs = _ones) or zero (rs = _zeros), from 0."""
+        return j // len(rs) * self._period + rs[j % len(rs)]
+
+    def ones_before(self, w: int) -> int:
+        """The ones among the first w guide positions."""
+        if w <= 0:
+            return 0
+        return w // self._period * len(self._ones) + self._ones_below[w % self._period]
+
+    def merge(self, xs: list[int], ys: list[int], fuel: streams.Fuel) -> list[int]:
+        """The bits generic_pair places: xs on the guide's ones, ys on its zeros.
+
+        xs and ys are padded with zeros in place.
+        """
+        _check_fuel(self, fuel)
+        ones, zeros, p = self._ones, self._zeros, self._period
+        # The loop reads on to the later of xs's last one and ys's last zero.
+        end = max(self._at(len(xs) - 1, ones), self._at(len(ys) - 1, zeros), 0) + 1
+        fuel.spend(end)
+        n1 = self.ones_before(end)
+        xs += [0] * (n1 - len(xs))
+        ys += [0] * (end - n1 - len(ys))
+        merged = [0] * end
+        for q, r in enumerate(ones[:n1]):
+            merged[r::p] = xs[q::len(ones)]
+        for q, r in enumerate(zeros[:end - n1]):
+            merged[r::p] = ys[q::len(zeros)]
+        return merged
+
+    def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
+        """The bits generic_unpair routes to the guide's ones and to its zeros."""
+        _check_fuel(self, fuel)
+        ones, zeros, p = self._ones, self._zeros, self._period
+        length = len(payload)
+        n1 = self.ones_before(length)
+        # The loop reads on to the first one and the first zero at or past the payload's end.
+        fuel.spend(max(self._at(n1, ones), self._at(length - n1, zeros)) + 1)
+        a, b = [0] * n1, [0] * (length - n1)
+        for q, r in enumerate(ones[:n1]):
+            a[q::len(ones)] = payload[r::p]
+        for q, r in enumerate(zeros[:length - n1]):
+            b[q::len(zeros)] = payload[r::p]
+        return a, b

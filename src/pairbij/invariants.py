@@ -252,24 +252,28 @@ def _metered(op: Callable, source, args: tuple, budget: int, label: str) -> tupl
 @_sweep
 def prefix_matches_loop(seeds: Iterable[charpair.SeedSpec], budgets: Iterable[int],
                         n_upto: int, grid: int):
-    """generic_pair and generic_unpair answer from a GuidePrefix as from its plain seed.
+    """generic_pair and generic_unpair answer from a family's guide source as from its plain seed.
 
-    One prefix per seed and budget serves every call, as in a family; each
-    call gets fresh fuel of that budget. Results, errors (type, message and
-    fields) and the fuel left must agree with the loop's.
+    Each seed and budget is served by a GuidePrefix and by the source that
+    family_from_seed picks (a PeriodicGuide for a seed that repeats a pattern
+    holding both bits, else a second prefix); each source serves every call,
+    as in a family, and each call gets fresh fuel of that budget. Results,
+    errors (type, message and fields) and the fuel left must agree with the
+    loop's.
     """
     cases = [(charpair.generic_unpair, (n,)) for n in range(n_upto + 1)]
     cases += [(charpair.generic_pair, (x, y)) for x in range(grid) for y in range(grid)]
     budgets = list(budgets)
     for seed in seeds:
         for budget in budgets:
-            prefix = guide.GuidePrefix(seed, budget)
+            sources = guide.GuidePrefix(seed, budget), charpair.family_from_seed(seed, budget).guide
             for op, args in cases:
-                got = _metered(op, prefix, args, budget, seed.label)
                 want = _metered(op, seed, args, budget, seed.label)
-                if got != want:
-                    yield (f"{seed.label}, budget {budget}: {op.__name__}{args} gave {got},"
-                           f" the loop {want}")
+                for source in sources:
+                    got = _metered(op, source, args, budget, seed.label)
+                    if got != want:
+                        yield (f"{seed.label}, budget {budget}: {op.__name__}{args} gave {got}"
+                               f" from a {type(source).__name__}, the loop {want}")
 
 
 @_sweep

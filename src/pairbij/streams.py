@@ -61,12 +61,18 @@ class Fuel:
 
 
 class Stream:
-    """Description of a (possibly infinite) sequence of naturals."""
+    """Description of a (possibly infinite) sequence of naturals.
 
-    __slots__ = ("_make_iter",)
+    shape records how cycle and arith built the stream, ("cycle", t) or
+    ("arith", start, step), so that a reader can see a period without
+    pulling; it is None for any other stream.
+    """
 
-    def __init__(self, make_iter: Callable[[], Iterator[int]]):
+    __slots__ = ("_make_iter", "shape")
+
+    def __init__(self, make_iter: Callable[[], Iterator[int]], shape: tuple | None = None):
         self._make_iter = make_iter
+        self.shape = shape
 
     def __iter__(self) -> Iterator[int]:
         return self._make_iter()
@@ -83,14 +89,14 @@ def cycle(xs: Iterable[int]) -> Stream:
     frozen = tuple(xs)
     if not frozen:
         raise EmptyCycle("cannot cycle an empty list")
-    return Stream(lambda: itertools.cycle(frozen))
+    return Stream(lambda: itertools.cycle(frozen), ("cycle", frozen))
 
 
 def arith(start: int, step: int) -> Stream:
     """The infinite arithmetic progression start, start+step, start+2*step, ..."""
     if step < 1:
         raise ZeroStep(f"arithmetic stream needs step >= 1, got {step}")
-    return Stream(lambda: itertools.count(start, step))
+    return Stream(lambda: itertools.count(start, step), ("arith", start, step))
 
 
 def smap(f: Callable[[int], int], s: Iterable[int]) -> Stream:

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from collections import deque
 from itertools import islice
 from unittest import mock
@@ -685,6 +686,25 @@ def test_loop_refuses_the_pull_past_the_budget(op, args):
         op(charpair.SeedSpec(encoders.BINS, ones, "ones"), *args, fuel)
     assert fuel.remaining == -1
     assert len(pulled) == 51
+
+
+@pytest.mark.parametrize("seed", [
+    charpair.preset_seed("arith-set", 1),
+    charpair.SeedSpec(encoders.BINS, streams.cycle([0]), "cycle [0]"),
+], ids=lambda seed: seed.label)
+def test_reference_unpair_refusal_holds_no_guide(seed):
+    # Each side of the split ends at its first end marker; a guide that never
+    # routes to the other side must not be kept for it.
+    fuel = streams.Fuel(10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FuelExhausted, match="no progress after 1000000 stream pulls"):
+            charpair.generic_unpair(seed, 9, fuel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fuel.remaining == -1
+    assert peak < 1_000_000
 
 
 def test_loop_returns_with_the_positions_read():
