@@ -325,8 +325,8 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
     once per family.
     """
     pattern = periodic_pattern(seed)
-    if 0 in pattern and 1 in pattern:
-        guide = PeriodicGuide(seed, pattern, fuel_budget)
+    if pattern:
+        guide = PeriodicGuide(seed, *pattern, fuel_budget)
     else:
         guide = GuidePrefix(seed, fuel_budget)
     label = f"seed {seed.label}"

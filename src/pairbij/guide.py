@@ -13,8 +13,8 @@ charpair.generic_pair and generic_unpair call all three alike:
 
 import threading
 from array import array
-from bisect import bisect_right
-from itertools import accumulate, islice
+from bisect import bisect_left, bisect_right
+from itertools import islice
 
 from . import encoders, streams
 from .errors import GuideExhausted
@@ -201,60 +201,76 @@ class GuidePrefix:
         return (a, b) if self._first else (b, a)
 
 
-def periodic_pattern(seed) -> tuple[int, ...]:
-    """The bits a seed's guide repeats from position 0, or () when that is not known.
+def periodic_pattern(seed) -> tuple:
+    """(p, ones) when a seed's guide repeats a pattern of period p holding
+    both bits from position 0, ones the sorted positions of its ones in
+    [0, p); else () when that is not known or a side would starve.
 
     A bins seed over streams.cycle(t) repeats t when every element is 0 or 1,
     read as the reference loop reads bits (any bit equal to 1 is a one); a
-    set seed over streams.arith(0, k) repeats a one and k - 1 zeros.
+    set seed over streams.arith(0, k) repeats a one and k - 1 zeros, kept as
+    (k, (0,)), so that a long step costs nothing.
     """
-    kind, *args = getattr(seed.payload, "shape", None) or ("",)
+    kind, *args = getattr(seed.payload, "_shape", None) or ("",)
     if kind == "cycle" and seed.encoder is encoders.BINS and all(b in (0, 1) for b in args[0]):
-        return tuple(int(b == 1) for b in args[0])
-    if (kind == "arith" and seed.encoder is encoders.SET
-            and type(args[0]) is type(args[1]) is int and args[0] == 0):
-        return (1,) + (0,) * (args[1] - 1)
-    return ()
+        period, ones = len(args[0]), tuple(r for r, b in enumerate(args[0]) if b == 1)
+    elif (kind == "arith" and seed.encoder is encoders.SET
+          and type(args[0]) is type(args[1]) is int and args[0] == 0):
+        period, ones = args[1], (0,)
+    else:
+        return ()
+    return (period, ones) if 0 < len(ones) < period else ()
 
 
 class PeriodicGuide:
     """The guide of one seed (a charpair.SeedSpec) that repeats a pattern of p bits.
 
-    If r is the q-th of the pattern's c1 one-positions, the guide's ones
-    q, q + c1, q + 2*c1, ... sit at positions r, r + p, r + 2p, ..., so merge
-    places a call's bits with one extended-slice assignment per pattern
-    position, out[r::p] = xs[q::c1], the zero-positions taking ys alike, and
-    split takes them back the same way. The positions the reference loop
-    would read have a closed form, and each call is charged them through
-    fuel.spend, so it gives the loop's answers and errors and leaves the
-    same fuel. The pattern must hold a 0 and a 1: a guide that starves a
-    side keeps the GuidePrefix, whose refusal reads to the budget as the
-    loop does. Nothing changes after construction, so calls may come from
-    several threads.
+    The pattern is its period p and the sorted positions of its c1 ones;
+    the c0 = p - c1 zeros are found from those, so a pattern of one one and
+    many zeros is as cheap as a short one. If r is the q-th one-position,
+    the guide's ones q, q + c1, q + 2*c1, ... sit at positions r, r + p,
+    r + 2p, ..., so merge places a call's bits with one extended-slice
+    assignment per pattern position it reaches, out[r::p] = xs[q::c1], the
+    zero-positions taking ys alike, and split takes them back the same way.
+    The positions the reference loop would read have a closed form, and
+    each call is charged them through fuel.spend, so it gives the loop's
+    answers and errors and leaves the same fuel. The pattern must hold a 0
+    and a 1: a guide that starves a side keeps the GuidePrefix, whose
+    refusal reads to the budget as the loop does. Nothing changes after
+    construction, so calls may come from several threads.
     """
 
-    __slots__ = ("seed", "label", "budget", "_period", "_ones", "_zeros", "_ones_below")
+    __slots__ = ("seed", "label", "budget", "_period", "_ones", "_gaps")
 
-    def __init__(self, seed, pattern: tuple[int, ...], fuel_budget: int = streams.DEFAULT_FUEL):
-        if 0 not in pattern or 1 not in pattern:
-            raise ValueError(f"a periodic guide needs a 0 and a 1 in its pattern, got {pattern}")
+    def __init__(self, seed, period: int, ones: tuple[int, ...],
+                 fuel_budget: int = streams.DEFAULT_FUEL):
+        if not 0 < len(ones) < period:
+            raise ValueError(f"a periodic guide needs a 0 and a 1 in its pattern,"
+                             f" got {len(ones)} ones in a period of {period}")
         self.seed = seed
         self.label = seed.label
         self.budget = fuel_budget
-        self._period = len(pattern)
-        self._ones = [r for r, bit in enumerate(pattern) if bit]
-        self._zeros = [r for r, bit in enumerate(pattern) if not bit]
-        self._ones_below = list(accumulate(pattern, initial=0))
+        self._period = period
+        self._ones = ones
+        # The q-th zero of the pattern sits past the ones whose gap r - t is at most q.
+        self._gaps = [r - t for t, r in enumerate(ones)]
 
-    def _at(self, j: int, rs: list[int]) -> int:
-        """The position of the guide's j-th one (rs = _ones) or zero (rs = _zeros), from 0."""
-        return j // len(rs) * self._period + rs[j % len(rs)]
+    def _one(self, j: int) -> int:
+        """The position of the guide's j-th one, from 0."""
+        c1 = len(self._ones)
+        return j // c1 * self._period + self._ones[j % c1]
+
+    def _zero(self, j: int) -> int:
+        """The position of the guide's j-th zero, from 0."""
+        c0 = self._period - len(self._ones)
+        q = j % c0
+        return j // c0 * self._period + q + bisect_right(self._gaps, q)
 
     def ones_before(self, w: int) -> int:
         """The ones among the first w guide positions."""
         if w <= 0:
             return 0
-        return w // self._period * len(self._ones) + self._ones_below[w % self._period]
+        return w // self._period * len(self._ones) + bisect_left(self._ones, w % self._period)
 
     def merge(self, xs: list[int], ys: list[int], fuel: streams.Fuel) -> list[int]:
         """The bits generic_pair places: xs on the guide's ones, ys on its zeros.
@@ -262,31 +278,33 @@ class PeriodicGuide:
         xs and ys are padded with zeros in place.
         """
         _check_fuel(self, fuel)
-        ones, zeros, p = self._ones, self._zeros, self._period
+        ones, p = self._ones, self._period
+        c1, c0 = len(ones), p - len(ones)
         # The loop reads on to the later of xs's last one and ys's last zero.
-        end = max(self._at(len(xs) - 1, ones), self._at(len(ys) - 1, zeros), 0) + 1
+        end = max(self._one(len(xs) - 1), self._zero(len(ys) - 1), 0) + 1
         fuel.spend(end)
         n1 = self.ones_before(end)
         xs += [0] * (n1 - len(xs))
         ys += [0] * (end - n1 - len(ys))
         merged = [0] * end
         for q, r in enumerate(ones[:n1]):
-            merged[r::p] = xs[q::len(ones)]
-        for q, r in enumerate(zeros[:end - n1]):
-            merged[r::p] = ys[q::len(zeros)]
+            merged[r::p] = xs[q::c1]
+        for q in range(min(c0, end - n1)):
+            merged[self._zero(q)::p] = ys[q::c0]
         return merged
 
     def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
         """The bits generic_unpair routes to the guide's ones and to its zeros."""
         _check_fuel(self, fuel)
-        ones, zeros, p = self._ones, self._zeros, self._period
+        ones, p = self._ones, self._period
+        c1, c0 = len(ones), p - len(ones)
         length = len(payload)
         n1 = self.ones_before(length)
         # The loop reads on to the first one and the first zero at or past the payload's end.
-        fuel.spend(max(self._at(n1, ones), self._at(length - n1, zeros)) + 1)
+        fuel.spend(max(self._one(n1), self._zero(length - n1)) + 1)
         a, b = [0] * n1, [0] * (length - n1)
         for q, r in enumerate(ones[:n1]):
-            a[q::len(ones)] = payload[r::p]
-        for q, r in enumerate(zeros[:length - n1]):
-            b[q::len(zeros)] = payload[r::p]
+            a[q::c1] = payload[r::p]
+        for q in range(min(c0, length - n1)):
+            b[q::c0] = payload[self._zero(q)::p]
         return a, b

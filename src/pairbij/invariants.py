@@ -254,19 +254,21 @@ def prefix_matches_loop(seeds: Iterable[charpair.SeedSpec], budgets: Iterable[in
                         n_upto: int, grid: int):
     """generic_pair and generic_unpair answer from a family's guide source as from its plain seed.
 
-    Each seed and budget is served by a GuidePrefix and by the source that
-    family_from_seed picks (a PeriodicGuide for a seed that repeats a pattern
-    holding both bits, else a second prefix); each source serves every call,
-    as in a family, and each call gets fresh fuel of that budget. Results,
-    errors (type, message and fields) and the fuel left must agree with the
-    loop's.
+    Each seed and budget is served by a GuidePrefix and, when
+    family_from_seed picks another source (a PeriodicGuide for a seed that
+    repeats a pattern holding both bits), by that one too; each source
+    serves every call, as in a family, and each call gets fresh fuel of that
+    budget. Results, errors (type, message and fields) and the fuel left
+    must agree with the loop's.
     """
     cases = [(charpair.generic_unpair, (n,)) for n in range(n_upto + 1)]
     cases += [(charpair.generic_pair, (x, y)) for x in range(grid) for y in range(grid)]
     budgets = list(budgets)
     for seed in seeds:
         for budget in budgets:
-            sources = guide.GuidePrefix(seed, budget), charpair.family_from_seed(seed, budget).guide
+            picked = charpair.family_from_seed(seed, budget).guide
+            sources = [guide.GuidePrefix(seed, budget)]
+            sources += [] if isinstance(picked, guide.GuidePrefix) else [picked]
             for op, args in cases:
                 want = _metered(op, seed, args, budget, seed.label)
                 for source in sources:

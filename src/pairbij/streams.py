@@ -4,7 +4,8 @@ A Stream is an immutable *description*: every iteration instantiates a fresh
 generator and replays the sequence from the start. That stands in for lazy
 lists in a strict language, so descriptions must be cheap to restart and safe
 to share. Where the paper evaluates a guide's lazy list once and shares it, a
-pairing family reads its seed once into a guide.GuidePrefix; only
+pairing family keeps a guide.GuidePrefix, which reads its seed once, or a
+guide.PeriodicGuide, which reads no guide at all; only
 generic_pair/generic_unpair given a plain SeedSpec re-traverse it per call.
 """
 
@@ -63,16 +64,17 @@ class Fuel:
 class Stream:
     """Description of a (possibly infinite) sequence of naturals.
 
-    shape records how cycle and arith built the stream, ("cycle", t) or
-    ("arith", start, step), so that a reader can see a period without
-    pulling; it is None for any other stream.
+    _shape records how cycle and arith built the stream, ("cycle", t) or
+    ("arith", start, step), so that guide.periodic_pattern can see a period
+    without pulling; only those two set it, and it is None for any other
+    stream.
     """
 
-    __slots__ = ("_make_iter", "shape")
+    __slots__ = ("_make_iter", "_shape")
 
-    def __init__(self, make_iter: Callable[[], Iterator[int]], shape: tuple | None = None):
+    def __init__(self, make_iter: Callable[[], Iterator[int]]):
         self._make_iter = make_iter
-        self.shape = shape
+        self._shape = None
 
     def __iter__(self) -> Iterator[int]:
         return self._make_iter()
@@ -89,14 +91,18 @@ def cycle(xs: Iterable[int]) -> Stream:
     frozen = tuple(xs)
     if not frozen:
         raise EmptyCycle("cannot cycle an empty list")
-    return Stream(lambda: itertools.cycle(frozen), ("cycle", frozen))
+    s = Stream(lambda: itertools.cycle(frozen))
+    s._shape = ("cycle", frozen)
+    return s
 
 
 def arith(start: int, step: int) -> Stream:
     """The infinite arithmetic progression start, start+step, start+2*step, ..."""
     if step < 1:
         raise ZeroStep(f"arithmetic stream needs step >= 1, got {step}")
-    return Stream(lambda: itertools.count(start, step), ("arith", start, step))
+    s = Stream(lambda: itertools.count(start, step))
+    s._shape = ("arith", start, step)
+    return s
 
 
 def smap(f: Callable[[int], int], s: Iterable[int]) -> Stream:

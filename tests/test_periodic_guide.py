@@ -1,6 +1,7 @@
 """The periodic guide source against the guide prefix and the reference loop."""
 
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from pairbij.invariants import outcome
 
 # Bits as the loop reads them: any bit equal to 1 is a one.
 BITS = st.sampled_from([0, 1, 1.0, False])
+# arith-set steps far past any budget drawn here.
+LONG_STEPS = [100, 10**12]
 
 
 def _seed(kind: str, pattern: list, k: int) -> tuple[charpair.SeedSpec, str | None]:
@@ -34,11 +37,14 @@ def _fuel(budget: int, label: str, overspent: int = 0) -> streams.Fuel:
 def test_periodic_guide_matches_prefix_and_loop_property(data):
     kind = data.draw(st.sampled_from(["cycle", "arith-set"]))
     pattern = data.draw(st.lists(BITS, min_size=1, max_size=8))
-    seed, head = _seed(kind, pattern, data.draw(st.integers(1, 8)))
-    periodic = 0 in guide.periodic_pattern(seed) and 1 in guide.periodic_pattern(seed)
-    # A guide that starves a side makes the loop spend its whole budget on every call.
+    k = data.draw(st.integers(1, 8) | st.sampled_from(LONG_STEPS))
+    seed, head = _seed(kind, pattern, k)
+    bits = [int(b == 1) for b in pattern]
+    periodic = k >= 2 if kind == "arith-set" else 0 in bits and 1 in bits
+    # A guide that starves a side, or has a one past the budget, makes the
+    # loop spend its whole budget on many calls.
     budget = data.draw(st.integers(1, 64) | st.just(streams.DEFAULT_FUEL)
-                       | st.just(sys.maxsize + 5) if periodic else st.integers(1, 64))
+                       | st.just(sys.maxsize + 5) if periodic and k <= 8 else st.integers(1, 64))
     masks = data.draw(st.lists(st.integers(0, 2**16), max_size=2))
     mask = 0
     for m in masks:
@@ -77,7 +83,8 @@ def test_periodic_guide_matches_prefix_and_loop_property(data):
     assert refused[0] == refused[1]
     if periodic:
         prefix = guide.GuidePrefix(seed, 1000)
-        charpair.generic_unpair(prefix, 2**199, streams.Fuel(1000))  # reads 200 positions or more
+        # Reads 200 positions or more, and refuses once a side needs a one past 1000.
+        outcome(lambda: charpair.generic_unpair(prefix, 2**199, streams.Fuel(1000)))
         assert [fam.guide.ones_before(w) for w in range(201)] == \
             [prefix.ones_before(w) for w in range(201)]
 
@@ -96,12 +103,16 @@ def test_periodic_pattern_reads_cycles_and_arithmetic_sets():
     def pattern(encoder, payload):
         return guide.periodic_pattern(charpair.SeedSpec(encoder, payload, "p"))
 
-    assert pattern(encoders.BINS, streams.cycle([1, 0])) == (1, 0)
-    assert pattern(encoders.BINS, streams.cycle([1.0, False, 0])) == (1, 0, 0)
-    assert pattern(encoders.BINS, streams.cycle([2, 0])) == ()
-    assert pattern(encoders.SET, streams.arith(0, 3)) == (1, 0, 0)
-    assert pattern(encoders.SET, streams.arith(0, 1)) == (1,)
-    for encoder, payload in [(encoders.SET, streams.arith(1, 3)),
+    assert pattern(encoders.BINS, streams.cycle([1, 0])) == (2, (0,))
+    assert pattern(encoders.BINS, streams.cycle([1.0, False, 0, 1])) == (4, (0, 3))
+    assert pattern(encoders.SET, streams.arith(0, 3)) == (3, (0,))
+    assert pattern(encoders.SET, streams.arith(0, 10**30)) == (10**30, (0,))
+    # Patterns that are not known, or that starve a side.
+    for encoder, payload in [(encoders.BINS, streams.cycle([2, 0])),
+                             (encoders.BINS, streams.cycle([0])),
+                             (encoders.BINS, streams.cycle([1, 1.0])),
+                             (encoders.SET, streams.arith(0, 1)),
+                             (encoders.SET, streams.arith(1, 3)),
                              (encoders.LIST, streams.cycle([1, 0])),
                              (encoders.BINS, streams.arith(0, 2)),
                              (encoders.BINS, streams.from_list([1, 0])),
@@ -112,7 +123,34 @@ def test_periodic_pattern_reads_cycles_and_arithmetic_sets():
 def test_periodic_guide_needs_both_bits():
     seed = charpair.preset_seed("arith-set", 1)
     with pytest.raises(ValueError, match="needs a 0 and a 1"):
-        guide.PeriodicGuide(seed, (1,))
+        guide.PeriodicGuide(seed, 1, (0,))
+    with pytest.raises(ValueError, match="needs a 0 and a 1"):
+        guide.PeriodicGuide(seed, 3, ())
+
+
+@pytest.mark.parametrize("k", [*LONG_STEPS, 2**70])
+def test_long_arith_steps_build_in_little_memory(k):
+    tracemalloc.start()
+    try:
+        fam = charpair.family(f"arith-set:{k}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert isinstance(fam.guide, guide.PeriodicGuide)
+    assert (fam.pair(1, 0), fam.pair(0, 1)) == (1, 2)
+
+
+@pytest.mark.parametrize("k", LONG_STEPS)
+def test_long_arith_steps_answer_the_loop(k):
+    fam = charpair.family(f"arith-set:{k}")
+    seed = fam.guide.seed
+    for x, y in [(1, 0), (0, 5), (1, 1)]:
+        assert outcome(lambda: fam.pair(x, y)) == outcome(lambda: charpair.generic_pair(seed, x, y))
+    small = charpair.family_from_seed(seed, 1000)
+    for n in (0, 1, 2, 7):
+        assert outcome(lambda: small.unpair(n)) == \
+            outcome(lambda: charpair.generic_unpair(seed, n, streams.Fuel(1000, label=f"seed {seed.label}")))
 
 
 @pytest.mark.parametrize("spec", ["morton", *(f"arith-set:{k}" for k in range(2, 9)),
