@@ -25,14 +25,15 @@ family keeps.
     whole runs of equal bits. They have a module of their own: compiled
     inside this one, without a bytecode cache, the prefix raised the peak
     memory of importing charpair by about 0.5 MB.
-  - Every reader charges what metering each pull charges. SeedSpec.merge and
-    GuidePrefix read at most fuel.read_limit() positions and charge them
-    once, through fuel.spend, as they leave: a refusal reads the whole
-    budget, and the refusal cells of the sparse-wide benchmark workload time
-    the merge loop. A PeriodicGuide charges the positions the loop would
-    read, in closed form, through fuel.spend. SeedSpec.split meters each
-    pull, since _route would report a guide cut at the read limit as
-    exhausted, not out of fuel.
+  - Every reader but the lazy bmerge, which meters each bit it reads,
+    charges by one rule what metering each pull would charge. SeedSpec's
+    merge and split and a GuidePrefix read their guide unmetered, to at most
+    fuel.read_limit() positions, and charge them once, through fuel.spend,
+    as they leave: a guide cut at that limit is told from one that ended by
+    the count, since spend refuses the pull past the fuel. A refusal reads
+    the whole budget, and the refusal cells of the sparse-wide benchmark
+    workload time these loops. A PeriodicGuide charges the positions the
+    loop would read, in closed form, through fuel.spend.
 """
 
 import sys
@@ -80,9 +81,8 @@ def _validated_bits(xs: Iterable[int]) -> Iterator[int]:
         yield x
 
 
-def _route(guide: Iterable[int], ns: Iterable[int]) -> Iterator[tuple]:
-    """Pair each element of ns with its guide bit; a failure ends it as (None, error)."""
-    bits = _validated_bits(guide)
+def _route(bits: Iterator[int], ns: Iterable[int]) -> Iterator[tuple]:
+    """Pair each element of ns with its bit; a failure ends it as (None, error)."""
     try:
         # The source is examined before the guide, so an ended source closes
         # both sides even when the guide has nothing left to say.
@@ -115,7 +115,7 @@ def bsplit(guide: Iterable[int], ns: Iterable[int]) -> tuple[Iterator[int], Iter
     error raised on one output is raised on the other too, once it reaches
     the failing element.
     """
-    ones, zeros = tee(_route(guide, ns))
+    ones, zeros = tee(_route(_validated_bits(guide), ns))
     return _side(ones, 1), _side(zeros, 0)
 
 
@@ -228,14 +228,17 @@ class SeedSpec:
         _route pairs the payload, then end markers, with guide bits, as bsplit
         does; a side ends at its first marker, and the call once both have.
         Both sides are collected in that one pass, so a guide that starves a
-        side holds nothing for it.
+        side holds nothing for it. As in merge, the guide is read unmetered,
+        to at most fuel.read_limit() positions, and charged as the call leaves.
         """
-        start = fuel.remaining
+        limit = fuel.read_limit()
+        read = 0
         sides, open_sides = {1: [], 0: []}, {1, 0}
         try:
-            for bit, n in _route(self.bits(fuel), chain(payload, repeat(None))):
+            for bit, n in _route(islice(self._guide(), limit), chain(payload, repeat(None))):
                 if bit is None:
                     raise n
+                read += 1
                 if n is not None:
                     sides[bit].append(n)
                 else:
@@ -243,11 +246,10 @@ class SeedSpec:
                     if not open_sides:
                         return sides[1], sides[0]
         except GuideExhausted:
-            raise exhausted(self.label, start - fuel.remaining, UNDELIMITED) from None
+            # If islice cut the guide at the limit, spend raises FuelExhausted in its place.
+            raise exhausted(self.label, read, UNDELIMITED) from None
         finally:
-            # Fuel overspent before the call refuses it even when the guide
-            # ends before its first pull, as spend does for the other readers.
-            fuel.spend(0)
+            fuel.spend(read)
 
 
 # -- the generic construction ------------------------------------------------------

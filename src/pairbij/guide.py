@@ -46,9 +46,10 @@ def _again(e: Exception) -> Exception:
 class GuidePrefix:
     """The guide of one seed (a charpair.SeedSpec), read once and kept as runs.
 
-    The guide is read through SeedSpec.bits on demand, in chunks that double
-    the prefix, under a lock, and never past fuel_budget + 1 positions: a
-    call that needs more runs out of fuel whatever the guide holds there.
+    The guide is read from SeedSpec._guide, unmetered, on demand, in chunks
+    that double the prefix, under a lock, and never past fuel_budget + 1
+    positions: a call that needs more runs out of fuel whatever the guide
+    holds there.
     Positions are kept as maximal runs of equal bits. Runs alternate, so run
     r holds the bit first ^ (r & 1); each run stores its start and the ones
     and zeros before it, 24 bytes a run.
@@ -83,8 +84,7 @@ class GuidePrefix:
         last = self._first ^ ((runs - 1) & 1) if runs else -1
         try:
             if self._bits is None:
-                fuel = streams.Fuel(self.budget + 1, label=f"seed {self.label}")
-                self._bits = self.seed.bits(fuel)
+                self._bits = self.seed._guide()
             for bit in islice(self._bits, upto - n):
                 bit = 1 if bit == 1 else 0  # as the loop reads it; a bins guide may hold 1.0
                 if bit != last:
@@ -145,15 +145,17 @@ class GuidePrefix:
         """
         lx, ly = len(xs), len(ys)
         runs, n, o, stop = self._cover(lx, ly, -1, fuel)
-        if o < lx or n - o < ly:
+        # An empty side needs no position, but the loop reads one if the guide
+        # has it; a guide that stops at position 0 gives [] only if it ended.
+        if o < lx or n - o < ly or not n and not isinstance(stop, StopIteration):
             self._fail(n, stop, fuel, UNPLACED)
         starts, ones, zeros = self._starts, self._ones, self._zeros
         # The runs holding the guide's lx-th one and ly-th zero; the later ends the call.
         r1 = bisect_right(ones, lx - 1, 0, runs) - 1
         r0 = bisect_right(zeros, ly - 1, 0, runs) - 1
-        p1 = starts[r1] + lx - 1 - ones[r1]
-        p0 = starts[r0] + ly - 1 - zeros[r0]
-        end = max(p1, p0) + 1
+        p1 = starts[r1] + lx - 1 - ones[r1] if lx else -1
+        p0 = starts[r0] + ly - 1 - zeros[r0] if ly else -1
+        end = min(max(p1, p0, 0) + 1, n)
         fuel.spend(end)
         if p1 > p0:
             reach, xend, yend = r1 + 1, lx, end - lx

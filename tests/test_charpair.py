@@ -656,6 +656,8 @@ LOOP_EXITS = [
     (encoders.BINS, [1, 0, 1, 0, 2, 1, 0], 100, InvalidBit, 96),
     (encoders.BINS, [1, 0, 1, 0], 100, GuideExhausted, 96),
     (encoders.BINS, [1, 1, 1, 1], 4, GuideExhausted, 0),
+    # the read limit: a guide that ends just past the budget is refused for fuel
+    (encoders.BINS, [1, 1, 1, 1, 1], 4, FuelExhausted, -1),
     (encoders.SET, [0, 2, 2, 5], 100, NotStrictlyIncreasing, 97),
 ]
 
@@ -664,7 +666,8 @@ LOOP_EXITS = [
                                       (charpair.generic_unpair, (1000,))],
                          ids=["pair", "unpair"])
 @pytest.mark.parametrize("encoder, payload, budget, error, left", LOOP_EXITS,
-                         ids=["bad bit", "ended", "ended at budget", "not increasing"])
+                         ids=["bad bit", "ended", "ended at budget", "ended past budget",
+                              "not increasing"])
 def test_loop_charges_the_positions_read(op, args, encoder, payload, budget, error, left):
     seed = charpair.SeedSpec(encoder, streams.from_list(payload), "pinned")
     fuel = streams.Fuel(budget)
@@ -725,6 +728,61 @@ def test_prefix_matches_loop_on_malformed_guides():
     seeds = [charpair.SeedSpec(encoders.BINS, streams.from_list([1, 0, 1, 0, 2, 1, 0]), "bad bit"),
              charpair.SeedSpec(encoders.SET, streams.from_list([0, 2, 2, 5]), "not increasing")]
     assert prefix_matches_loop(seeds, (1, 3, 4, 5, 100), 40, 6) == []
+
+
+# The presets, starving guides and 0/1 cycles, and two guides that stop at
+# position 0: one ends, one holds a bad bit.
+EDGE_SEEDS = ([charpair.preset_seed(name) for name in PRESETS]
+              + [charpair.preset_seed("arith-set", k) for k in (1, 2, 3)]
+              + [charpair.SeedSpec(encoders.BINS, streams.cycle(t), f"cycle {t}")
+                 for t in ([0], [1], [0, 0, 1], [1, 1.0, 0])]
+              + [charpair.SeedSpec(encoders.BINS, streams.from_list(t), f"list {t}")
+                 for t in ([], [2])])
+
+
+def _charged(call, budget):
+    fuel = streams.Fuel(budget)
+    return outcome(lambda: call(fuel)), fuel.remaining
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS, ids=lambda seed: seed.label)
+def test_fast_sources_match_loop_with_an_empty_side(seed):
+    # generic_pair and generic_unpair never pass an empty bit form; a direct caller can.
+    calls = [("merge", [], []), ("merge", [], [1, 1]), ("merge", [1, 0, 1], []),
+             ("merge", [1], [1]), ("split", [])]
+    pattern = guide.periodic_pattern(seed)
+    for budget in (1, 3, 40, 10**4):
+        sources = [guide.GuidePrefix(seed, budget)]
+        sources += [guide.PeriodicGuide(seed, *pattern, budget)] if pattern else []
+        for name, *args in calls:
+            want = _charged(lambda f: getattr(seed, name)(*map(list, args), f), budget)
+            for source in sources:
+                got = _charged(lambda f: getattr(source, name)(*map(list, args), f), budget)
+                assert got == want, (type(source).__name__, budget, name, args)
+
+
+def test_library_readers_charge_without_metering(tmp_path):
+    # Every guide reader but bmerge charges its fuel once, not per pull.
+    path = tmp_path / "short.bits"
+    path.write_text("1 0 0 1 1 0 1 0")
+    plain = [charpair.preset_seed("squares"), charpair.preset_seed("arith-set", 1),
+             charpair.seed_from_file(path),
+             charpair.SeedSpec(encoders.BINS, streams.from_list([1, 0, 2]), "bad bit")]
+    with mock.patch.object(streams.Fuel, "meter", autospec=True,
+                           side_effect=streams.Fuel.meter) as meter:
+        got = [outcome(lambda: op(seed, *args, streams.Fuel(100)))[0]
+               for seed in plain
+               for op, args in ((charpair.generic_pair, (2**9, 3)),
+                                (charpair.generic_unpair, (2**9,)))]
+        for spec in ("squares", "syracuse", "bits-of-naturals", f"seed-file:{path}"):
+            fam = charpair.family(spec)
+            got.append(outcome(lambda: fam.unpair(fam.pair(2, 3)))[0])
+        assert meter.call_count == 0
+        assert got == ["returned"] * 2 + ["FuelExhausted"] * 2 + ["GuideExhausted"] * 2 \
+            + ["InvalidBit"] * 2 + ["returned"] * 4
+        assert list(charpair.bmerge([1, 0], [5], [6])) == [5, 6]
+        assert list(islice(plain[0].bits(streams.Fuel(10)), 3)) == [1, 1, 0]
+        assert meter.call_count == 2
 
 
 def test_spent_fuel_is_not_refunded():
