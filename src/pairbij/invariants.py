@@ -154,15 +154,17 @@ def decons_by_division(b: int, z: int) -> tuple[int, int]:
 
 @_sweep
 def valuation_oracles(z_upto: int, x_upto: int, y_upto: int):
-    """Base 2 against independent oracles: repeated division, the lowest set bit,
-    a closed form, bin().
+    """Valuations against independent oracles: repeated division in bases 2, 3
+    and 7, the lowest set bit, a closed form, bin().
 
-    decons(2, .) takes the lowest set bit itself, so the division loop is the
-    reference that shares no step with it.
+    decons(2, .) takes the lowest set bit itself, and decons(b, .) for b != 2
+    makes one divmod per factor and takes the rank from the last quotient, so
+    the two-division loop is a reference that shares no step with either.
     """
     for z in range(1, z_upto + 1):
-        if nadic.decons(2, z) != decons_by_division(2, z):
-            yield f"2-adic decons broke against repeated division at {z}"
+        for b in (2, 3, 7):
+            if nadic.decons(b, z) != decons_by_division(b, z):
+                yield f"{b}-adic decons broke against repeated division at {z}"
         if nadic.head(2, z) != (z & -z).bit_length() - 1:
             yield f"2-adic valuation oracle broke at {z}"
         if list(encoders.as_(encoders.BINS, encoders.NAT, z)) != [int(c) for c in bin(z)[2:]][::-1]:

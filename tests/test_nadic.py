@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairbij import nadic, streams
@@ -49,6 +49,41 @@ def test_head_is_valuation():
 def test_decons_base2_matches_division_property(k, v):
     z = 2**v * (2 * k + 1)
     assert nadic.decons(2, z) == decons_by_division(2, z)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=3, max_value=40),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=1, max_value=2**200),
+)
+def test_decons_matches_division_property(b, v, u):
+    # u may hold further factors of b, so z need not be a cons output of (v, .)
+    z = b**v * u
+    assert nadic.decons(b, z) == decons_by_division(b, z)
+
+
+@pytest.mark.parametrize("b", [3, 7])
+@pytest.mark.parametrize("y", [0, 0xC3A5C85C97CB3127])
+def test_decons_matches_division_at_benchmark_scale(b, y):
+    z = nadic.cons(b, 10**4, y)
+    assert nadic.decons(b, z) == decons_by_division(b, z) == (10**4, y)
+
+
+@pytest.mark.parametrize("b", [3, 5, 7, 10, 16, 37])
+def test_decons_matches_division_on_exact_powers(b):
+    for v in [*range(60), 500, 3000]:
+        z = b**v
+        assert nadic.decons(b, z) == decons_by_division(b, z) == (v, 0)
+
+
+@pytest.mark.parametrize("b", [3, 5, 7, 10, 16, 37])
+def test_decons_matches_division_off_multiples(b):
+    for k in range(600):
+        for r in range(1, b):
+            for z in (k * b + r, (b**300 + k) * b + r):
+                got = nadic.decons(b, z)
+                assert got == decons_by_division(b, z) and got[0] == 0
 
 
 def test_unpair_base2_huge_valuation():
