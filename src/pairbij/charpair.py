@@ -308,7 +308,9 @@ class PairingFamily:
     its ,xor: twists: unpair(n) then sends bit i of n ^ mask to x or to y as
     guide position i says. That map is linear over XOR, which lets a caller
     walking n = 0, 1, 2, ... get a whole block of points from two tables
-    (see cli._curve_blocks).
+    (see cli._curve_blocks). A family with no guide may keep in `columns` a
+    function that gives the unpair of every n in [lo, hi) as a column of x
+    and a column of y, built a progression at a time.
     """
 
     name: str
@@ -316,6 +318,7 @@ class PairingFamily:
     unpair: Callable[[int], tuple[int, int]]
     guide: GuidePrefix | PeriodicGuide | None = None
     mask: int = 0
+    columns: Callable[[int, int], tuple[list[int], list[int]]] | None = None
 
 
 def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) -> PairingFamily:
@@ -456,8 +459,27 @@ def cantor_unpair(n: int) -> tuple[int, int]:
     return w - y, y
 
 
+def cantor_columns(lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """The cantor_unpair of every n in [lo, hi), as a column of x and a column of y.
+
+    Along a diagonal x falls by one and y rises by one, so each diagonal the
+    block meets gives one range to each column, the last cut to the block.
+    """
+    x, y = cantor_unpair(lo)
+    xs: list[int] = []
+    ys: list[int] = []
+    left = hi - lo
+    while left > 0:
+        m = min(x + 1, left)  # the diagonal's rows from (x, y) on
+        xs += range(x, x - m, -1)
+        ys += range(y, y + m)
+        left -= m
+        x, y = x + y + 1, 0
+    return xs, ys
+
+
 def cantor_family() -> PairingFamily:
-    return PairingFamily("cantor", cantor_pair, cantor_unpair)
+    return PairingFamily("cantor", cantor_pair, cantor_unpair, columns=cantor_columns)
 
 
 def twist_family(f: PairingFamily, mask: int) -> PairingFamily:
@@ -501,7 +523,8 @@ def _base_family(head: str, fuel_budget: int) -> PairingFamily:
         b = parse_nat(arg, "valuation base")
         nadic.decons(b, 1)  # fail early on b < 2
         return PairingFamily(
-            head, lambda x, y: nadic.pair(b, x, y), lambda n: nadic.unpair(b, n)
+            head, lambda x, y: nadic.pair(b, x, y), lambda n: nadic.unpair(b, n),
+            columns=lambda lo, hi: nadic.unpair_columns(b, lo, hi),
         )
     if kind == "arith-set" and colon:
         return preset_family("arith-set", parse_nat(arg, "arith-set step"), fuel_budget)

@@ -9,6 +9,7 @@ import functools
 import os
 import sys
 from collections.abc import Iterator
+from itertools import chain
 
 from . import charpair, encoders, nadic, streams
 from .errors import FuelExhausted, PairbijError
@@ -94,6 +95,17 @@ def _unpair_at(fam: charpair.PairingFamily, n: int) -> tuple[int, int]:
         raise PairbijError(f"unpair failed at n={n}: {e}") from None
 
 
+def _unpair_columns(fam: charpair.PairingFamily, lo: int, hi: int) -> tuple:
+    """The unpair of every n in [lo, hi), as columns (xs, ys)."""
+    ns = range(lo, hi)
+    try:
+        rows = list(map(fam.unpair, ns))
+    except PairbijError:
+        rows = [_unpair_at(fam, n) for n in ns]
+    xs, ys = zip(*rows)
+    return xs, ys
+
+
 # Rows per block of the walk, 2**12: enough that a block's fixed cost is small
 # per row, few enough that its text stays small.
 _BLOCK_BITS = 12
@@ -102,8 +114,10 @@ _BLOCK_BITS = 12
 def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
     """The path of n = 0..count as blocks (ns, values, tables) of up to 2**12 rows.
 
-    ns is the block's range of n. A family with no guide gives each row's
-    (x, y) in values and None in tables.
+    ns is the block's range of n. A family with no guide gives the columns
+    (xs, ys) of its rows in values and None in tables: from the family's
+    columns when it has them, else from unpair at every n, the reference
+    they are tested against.
 
     A guide family unpairs n by sending bit i of n ^ mask to x or to y as
     guide position i says, a map linear over XOR: x(n) = x(0) ^ X(n), where
@@ -126,12 +140,9 @@ def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
     spans = (range(lo, min(lo + block, count + 1)) for lo in range(0, count + 1, block))
     guide = fam.guide
     if guide is None:
+        columns = fam.columns or functools.partial(_unpair_columns, fam)
         for ns in spans:
-            try:
-                rows = list(map(fam.unpair, ns))
-            except PairbijError:
-                rows = [_unpair_at(fam, n) for n in ns]
-            yield ns, rows, None
+            yield ns, columns(ns.start, ns.stop), None
         return
     x, y = _unpair_at(fam, 0)
     grows = [1 << w for w in range(fam.mask.bit_length(), count.bit_length())]
@@ -167,7 +178,7 @@ def _curve_points(fam: charpair.PairingFamily, count: int) -> Iterator[tuple[int
     """The points (n, x, y) of fam's unpairing path, n = 0..count, from its blocks."""
     for ns, values, tables in _curve_blocks(fam, count):
         if tables is None:
-            yield from ((n, x, y) for n, (x, y) in zip(ns, values))
+            yield from zip(ns, *values)
         else:
             (xs, ys), (tx, ty) = values, tables
             yield from zip(ns, map(xs.__getitem__, tx), map(ys.__getitem__, ty))
@@ -176,12 +187,13 @@ def _curve_points(fam: charpair.PairingFamily, count: int) -> Iterator[tuple[int
 def _render_csv(blocks) -> list[str]:
     """The CSV text of the walk's blocks, a piece a block: memory follows the text, not the points.
 
-    A guide family's block formats each of its distinct x and y once.
+    A block of columns is formatted with one %; a guide family's block
+    formats each of its distinct x and y once.
     """
     pieces = ["n,x,y\n"]
     for ns, values, tables in blocks:
         if tables is None:
-            piece = "".join([f"{n},{x},{y}\n" for n, (x, y) in zip(ns, values)])
+            piece = ("%d,%d,%d\n" * len(ns)) % tuple(chain.from_iterable(zip(ns, *values)))
         else:
             sx = [f",{x}" for x in values[0]]
             sy = [f",{y}\n" for y in values[1]]

@@ -6,6 +6,7 @@ All sequence conversions are written generator-to-generator so the same code
 path serves finite lists and infinite streams.
 """
 
+import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate, chain, repeat
 
@@ -110,11 +111,13 @@ class _Runs(dict):
     """Hub element n -> its run of bits, n zeros then a one.
 
     Short runs are kept as tuples; a longer one is built when it is looked
-    up and not kept, which is also where a negative element is refused.
+    up and not kept, which is also where a negative element is refused. No
+    guide reader reads past fuel's read limit, at most sys.maxsize
+    positions, so a gap longer than that is endless zeros.
     """
 
     def __missing__(self, n: int) -> Iterable[int]:
-        return chain(repeat(0, _natural(n)), (1,))
+        return chain(repeat(0, _natural(n)) if n <= sys.maxsize else repeat(0), (1,))
 
 
 _RUNS = _Runs((n, (0,) * n + (1,)) for n in range(32))

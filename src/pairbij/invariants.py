@@ -285,14 +285,15 @@ def curve_walk_matches_unpair(specs: Iterable[str], budgets: Iterable[int], coun
     """The curve command's block walk gives the points and CSV text that unpair at every n gives.
 
     The walk runs on a family of each spec and budget; the loop runs on a
-    second family of the same spec with its guide removed, so it calls
-    unpair at every n, and the CSV renderer formats each of its rows on its
-    own. Both must give the same points and text, or the same error.
+    second family of the same spec with its guide and columns removed, so it
+    calls unpair at every n. Both must give the same points and text, or the
+    same error.
     """
     budgets = list(budgets)
     for spec in specs:
         for budget in budgets:
-            fams = charpair.family(spec, budget), replace(charpair.family(spec, budget), guide=None)
+            fams = (charpair.family(spec, budget),
+                    replace(charpair.family(spec, budget), guide=None, columns=None))
             walked, looped = (outcome(lambda: list(cli._curve_points(f, count))) for f in fams)
             if walked != looped:
                 if walked[0] == looped[0] == "returned":
@@ -380,8 +381,11 @@ SELFTESTS: list[tuple[str, Callable[[int], list[str]]]] = [
         [charpair.family(spec).guide.seed for spec in SELFTEST_FAMILIES + ("arith-set:1",)],
         (3, 64, 2000), min(r, 100), min(r, 6))),
     # Walks past 2**11 fill the tables to guide position 11, where both guides
-    # of the second walk hold a one.
+    # of the second walk hold a one. The third walk's second block holds
+    # n + 1 = 2**13 and 3**8, rows that nadic.unpair_columns leaves to decons.
     ("curve walk vs unpair", lambda r: curve_walk_matches_unpair(
-        SELFTEST_FAMILIES + ("squares,xor:5000", "arith-set:1"), (3, 64), min(r, 1000))
-        + curve_walk_matches_unpair(("bits-of-naturals", "arith-set:11"), (3, 64), 2100)),
+        SELFTEST_FAMILIES + ("squares,xor:5000", "arith-set:1", "nadic:2", "nadic:3", "nadic:7",
+                             "nadic:5000", "cantor", "cantor,xor:5"), (3, 64), min(r, 1000))
+        + curve_walk_matches_unpair(("bits-of-naturals", "arith-set:11"), (3, 64), 2100)
+        + curve_walk_matches_unpair(("nadic:2", "nadic:3"), (64,), 8200)),
 ]

@@ -77,6 +77,45 @@ def unpair(b: int, n: int) -> tuple[int, int]:
     return decons(b, n + 1)
 
 
+def unpair_columns(b: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """The unpair(b, n) of every n in [lo, hi), as a column of x and a column of y.
+
+    The rows of z = n + 1 = b**k * u with b not dividing u have x = k and
+    y = u - u // b - 1. At level k, the rows whose u share a residue mod b
+    sit every b**(k+1) rows, y rising by b - 1, and the rows whose u lie
+    between two multiples of b sit every b**k rows, y rising by 1; the level
+    fills y with whichever needs fewer extended slices. x takes k at every
+    multiple of b**k, which the levels above overwrite. Once b**k passes the
+    block's length, at most one row is left, and decons answers it.
+    """
+    _check_base(b)
+    if lo < 0:
+        raise ZeroArgument(f"unpair is defined on naturals, got {lo}")
+    z0, size = lo + 1, max(hi - lo, 0)
+    xs, ys = [0] * size, [0] * size
+    k, step = 0, 1
+    while step <= size:
+        first, last = -(-z0 // step), (z0 + size - 1) // step  # the level's u
+        if k:
+            xs[first * step - z0::step] = [k] * (last - first + 1)
+        stride = step * b
+        if min(b, last - first + 1) <= last // b - first // b + 1:  # residues <= runs
+            for u in range(first, min(first + b, last + 1)):
+                if u % b:
+                    i, y = u * step - z0, u - u // b - 1
+                    ys[i::stride] = range(y, y + (b - 1) * len(range(i, size, stride)), b - 1)
+        else:
+            for m in range(first // b, last // b + 1):
+                u, v = max(m * b + 1, first), min(m * b + b - 1, last)
+                if u <= v:
+                    ys[u * step - z0:v * step - z0 + 1:step] = range(u - m - 1, v - m)
+        k, step = k + 1, stride
+    i = -(-z0 // step) * step - z0
+    if i < size:
+        xs[i], ys[i] = decons(b, z0 + i)
+    return xs, ys
+
+
 def nat_to_nats(b: int, n: int) -> list[int]:
     """Expand a natural into the finite list of valuations peeled off by decons."""
     _check_base(b)

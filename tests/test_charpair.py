@@ -452,10 +452,24 @@ def test_cantor_roundtrips():
         assert charpair.cantor_pair(*charpair.cantor_unpair(n)) == n
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_cantor_columns_match_unpair(data):
+    rows = data.draw(st.integers(1, 4096))
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(0, 2**80))
+    else:  # a block holding the first n of a diagonal
+        w = data.draw(st.integers(0, 2**40))
+        lo = max(w * (w + 1) // 2 - data.draw(st.integers(0, rows - 1)), 0)
+    xs, ys = charpair.cantor_columns(lo, lo + rows)
+    assert list(zip(xs, ys)) == [charpair.cantor_unpair(n) for n in range(lo, lo + rows)]
+
+
 @pytest.mark.parametrize("call", [
     lambda f: f.pair(-1, 0),
     lambda f: f.pair(0, -1),
     lambda f: f.unpair(-1),
+    lambda f: f.columns(-1, 3),
 ])
 @pytest.mark.parametrize("spec", ["cantor", "nadic:2", "nadic:3"])
 def test_family_rejects_negatives(spec, call):
@@ -752,10 +766,13 @@ def test_fast_sources_match_loop_with_an_empty_side(seed):
              ("merge", [1], [1]), ("split", [])]
     pattern = guide.periodic_pattern(seed)
     for budget in (1, 3, 40, 10**4):
-        sources = [guide.GuidePrefix(seed, budget)]
-        sources += [guide.PeriodicGuide(seed, *pattern, budget)] if pattern else []
+        # A prefix grown by a wide call holds runs well past what the calls below need.
+        grown = guide.GuidePrefix(seed, budget)
+        outcome(lambda: charpair.generic_unpair(grown, 2**300, streams.Fuel(budget)))
         for name, *args in calls:
             want = _charged(lambda f: getattr(seed, name)(*map(list, args), f), budget)
+            sources = [guide.GuidePrefix(seed, budget), grown]
+            sources += [guide.PeriodicGuide(seed, *pattern, budget)] if pattern else []
             for source in sources:
                 got = _charged(lambda f: getattr(source, name)(*map(list, args), f), budget)
                 assert got == want, (type(source).__name__, budget, name, args)

@@ -477,7 +477,8 @@ _SHORT_SEEDS = {"10" * 7 + "1": 8192, "10" * 6: 1024}
 
 
 @pytest.mark.parametrize("head", ["morton", "squares", "powers2", "syracuse", "bits-of-naturals",
-                                  "arith-set:2", "arith-set:3", *_SHORT_SEEDS])
+                                  "arith-set:2", "arith-set:3", *_SHORT_SEEDS, "nadic:2",
+                                  "nadic:3", "nadic:7", "nadic:1000000", "cantor"])
 def test_curve_blocks_match_unpair(tmp_path, head):
     fails_at = _SHORT_SEEDS.get(head)
     if fails_at:
@@ -488,7 +489,7 @@ def test_curve_blocks_match_unpair(tmp_path, head):
         spec = f"{head},xor:{mask}" if mask else head
         fam = charpair.family(spec)
         # unpair at every n, each n unpaired once for all the commands below
-        looped = replace(fam, guide=None, unpair=functools.cache(fam.unpair))
+        looped = replace(fam, guide=None, columns=None, unpair=functools.cache(fam.unpair))
         for count in _BLOCK_COUNTS:
             for form in ("csv", "svg"):
                 argv = ["curve", spec, str(count), form]

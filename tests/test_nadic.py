@@ -250,3 +250,18 @@ def test_nats_roundtrip_property(b, n):
 )
 def test_cons_decons_property(b, x, y):
     assert nadic.decons(b, nadic.cons(b, x, y)) == (x, y)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_unpair_columns_match_unpair(data):
+    b = data.draw(st.integers(2, 10) | st.integers(2, 10**12))
+    rows = data.draw(st.integers(1, 4096))
+    if data.draw(st.booleans()):
+        lo = data.draw(st.integers(0, 2**64))
+    else:  # a block holding n = m * b**k - 1, where the valuation steps up
+        p = data.draw(st.sampled_from([b**k for k in range(65) if b**k <= 2**64]))
+        n = p * data.draw(st.integers(1, 2 * b)) - 1
+        lo = max(n - data.draw(st.integers(0, rows - 1)), 0)
+    xs, ys = nadic.unpair_columns(b, lo, lo + rows)
+    assert list(zip(xs, ys)) == [nadic.unpair(b, n) for n in range(lo, lo + rows)]

@@ -141,7 +141,7 @@ def test_long_arith_steps_build_in_little_memory(k):
     assert (fam.pair(1, 0), fam.pair(0, 1)) == (1, 2)
 
 
-@pytest.mark.parametrize("k", LONG_STEPS)
+@pytest.mark.parametrize("k", [*LONG_STEPS, 2**70])
 def test_long_arith_steps_answer_the_loop(k):
     fam = charpair.family(f"arith-set:{k}")
     seed = fam.guide.seed
@@ -151,6 +151,13 @@ def test_long_arith_steps_answer_the_loop(k):
     for n in (0, 1, 2, 7):
         assert outcome(lambda: small.unpair(n)) == \
             outcome(lambda: charpair.generic_unpair(seed, n, streams.Fuel(1000, label=f"seed {seed.label}")))
+
+
+def test_gaps_past_the_word_size_read_as_endless_zeros():
+    # No reader reads past sys.maxsize positions, so a longer gap needs no count.
+    seed = charpair.preset_seed("arith-set", 2**70)
+    assert charpair.generic_pair(seed, 1, 0) == 1
+    assert charpair.generic_pair(guide.GuidePrefix(seed), 1, 0) == 1
 
 
 @pytest.mark.parametrize("spec", ["morton", *(f"arith-set:{k}" for k in range(2, 9)),
