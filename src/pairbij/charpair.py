@@ -304,20 +304,20 @@ def generic_unpair(seed: SeedSpec | GuidePrefix | PeriodicGuide, n: int,
 class PairingFamily:
     """A named pair/unpair closure pair; mutually inverse wherever both terminate.
 
-    A family built on a guide keeps it in `guide`, and in `mask` the XOR of
-    its ,xor: twists: unpair(n) then sends bit i of n ^ mask to x or to y as
+    A family built on a guide keeps it in `guide`, twisted or not: unpair(n)
+    sends bit i of n, XOR the mask of its ,xor: twists, to x or to y as
     guide position i says. That map is linear over XOR, which lets a caller
     walking n = 0, 1, 2, ... get a whole block of points from two tables
-    (see cli._curve_blocks). A family with no guide may keep in `columns` a
-    function that gives the unpair of every n in [lo, hi) as a column of x
-    and a column of y, built a progression at a time.
+    read off one guide.split (see cli._curve_blocks). A family with no guide
+    may keep in `columns` a function that gives the unpair of every n in
+    [lo, hi) as a column of x and a column of y, built a progression at a
+    time.
     """
 
     name: str
     pair: Callable[[int, int], int]
     unpair: Callable[[int], tuple[int, int]]
     guide: GuidePrefix | PeriodicGuide | None = None
-    mask: int = 0
     columns: Callable[[int, int], tuple[list[int], list[int]]] | None = None
 
 
@@ -411,6 +411,8 @@ def read_seed_bits(path: str | Path) -> list[int]:
     except UnicodeDecodeError as e:
         raise InvalidBit(f"seed file {path}: not text, byte {e.object[e.start]:#04x}"
                          f" at offset {e.start}") from None
+    except ValueError as e:  # a path holding a NUL byte
+        raise PairbijError(f"cannot read seed file {str(path)!r}: {e}") from None
     bits = []
     for i, ch in enumerate(text):
         if ch.isspace():
@@ -495,7 +497,6 @@ def twist_family(f: PairingFamily, mask: int) -> PairingFamily:
         lambda x, y: f.pair(x, y) ^ mask,
         unpair,
         guide=f.guide,
-        mask=f.mask ^ mask,
     )
 
 

@@ -119,22 +119,23 @@ def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
     columns when it has them, else from unpair at every n, the reference
     they are tested against.
 
-    A guide family unpairs n by sending bit i of n ^ mask to x or to y as
-    guide position i says, a map linear over XOR: x(n) = x(0) ^ X(n), where
-    X(n) gathers the bits of n on the guide's ones, and the same for y. Its
-    blocks start at multiples of 2**12, and row ns[t] has x = xs[tx[t]] and
-    y = ys[ty[t]] for (xs, ys) = values and (tx, ty) = tables. tx[t] = X(t)
-    and ty[t] = Y(t) serve every block; xs and ys list the block's distinct
-    x and y, the unpair of its first n XOR each table value: at most 2**c
-    and 2**(12 - c) of them, where c counts the ones among the first 12
-    guide positions.
+    A guide family unpairs n by sending bit i of n, XOR the mask of its
+    ,xor: twists, to x or to y as guide position i says, a map linear over
+    XOR: x(n) = x(0) ^ X(n), where X(n) gathers the bits of n on the guide's
+    ones, and the same for y. Its blocks start at multiples of 2**12, and
+    row ns[t] has x = xs[tx[t]] and y = ys[ty[t]] for (xs, ys) = values and
+    (tx, ty) = tables. tx[t] = X(t) and ty[t] = Y(t) serve every block; xs
+    and ys list the block's distinct x and y, the unpair of its first n XOR
+    each table value: at most 2**c and 2**(12 - c) of them, where c counts
+    the ones among the first 12 guide positions.
 
-    What an unpair call reads and the fuel it spends grow with the bit
-    length of n ^ mask, so unpair fails at some n <= count only if it fails
-    at the last n where that length grows. It runs there, at n = 0 and at
-    each later block's first n; only if the call at the last growth point
-    fails does it run at each n where the length grows, so that the error
-    names the first of them.
+    One split of the positions 0..L-1, L = count.bit_length(), gives the
+    tables: it routes position i to the ones or to the zeros as unpair
+    routes bit i. It also reads the guide and spends the fuel of an unpair
+    whose n ^ mask has L bits, and the n <= count whose n ^ mask is longest
+    is 0 or 2**(L-1). So once unpair(0) has run, the split fails exactly
+    when unpair fails at some n <= count; then unpair runs at each power of
+    two below 2**L, so that the error names the first n where it fails.
     """
     block = 1 << _BLOCK_BITS
     spans = (range(lo, min(lo + block, count + 1)) for lo in range(0, count + 1, block))
@@ -145,31 +146,28 @@ def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
             yield ns, columns(ns.start, ns.stop), None
         return
     x, y = _unpair_at(fam, 0)
-    grows = [1 << w for w in range(fam.mask.bit_length(), count.bit_length())]
-    if grows:
-        try:
-            fam.unpair(grows[-1])
-        except PairbijError:
-            for n in grows:
-                _unpair_at(fam, n)
-    # Those calls read the guide past position count.bit_length(), all that
-    # ones_before asks of it below.
-    width = min(count.bit_length(), _BLOCK_BITS)
+    length = count.bit_length()
+    try:
+        ones, zeros = guide.split(list(range(length)), streams.Fuel(guide.budget))
+    except PairbijError:
+        for w in range(length):
+            _unpair_at(fam, 1 << w)
+        raise
+    width = min(length, _BLOCK_BITS)
     tx, ty = [0], [0]
     for i in range(width):
-        c = guide.ones_before(i)
-        if guide.ones_before(i + 1) > c:
-            bit = 1 << c
+        if i in ones:
+            bit = 1 << ones.index(i)
             tx += [v | bit for v in tx]
             ty += ty
         else:
-            bit = 1 << (i - c)
+            bit = 1 << zeros.index(i)
             tx += tx
             ty += [v | bit for v in ty]
-    cx = guide.ones_before(width)
+    cx = sum(i < width for i in ones)
     cy = width - cx
     for ns in spans:
-        if ns.start:  # no bit length up to count fails, as checked above
+        if ns.start:  # unpair fails at no n up to count, as the split showed
             x, y = fam.unpair(ns.start)
         yield ns, ([x ^ v for v in range(1 << cx)], [y ^ v for v in range(1 << cy)]), (tx, ty)
 

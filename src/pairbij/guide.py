@@ -127,17 +127,6 @@ class GuidePrefix:
             raise exhausted(self.label, n, what)
         raise _again(stop)
 
-    def ones_before(self, w: int) -> int:
-        """The ones among the first w guide positions, which must be read already."""
-        runs, n, _, _ = self._state
-        if w > n:
-            raise ValueError(f"{w} positions asked of the guide prefix of {self.label},"
-                             f" which holds {n}")
-        if w <= 0:
-            return 0
-        r = bisect_right(self._starts, w - 1, 0, runs) - 1
-        return self._ones[r] + (w - self._starts[r] if self._first ^ (r & 1) else 0)
-
     def merge(self, xs: list[int], ys: list[int], fuel: streams.Fuel) -> list[int]:
         """The bits generic_pair places: xs on the guide's ones, ys on its zeros.
 

@@ -15,6 +15,7 @@ from pairbij.errors import (
     GuideExhausted,
     InvalidBit,
     NotStrictlyIncreasing,
+    PairbijError,
     UnknownEncoder,
     UnknownPreset,
     ZeroArgument,
@@ -393,6 +394,11 @@ def test_seed_file_rejects_garbage(tmp_path):
         charpair.seed_from_file(path)
 
 
+def test_seed_file_path_with_a_nul_byte():
+    with pytest.raises(PairbijError, match=r"cannot read seed file 'a\\x00b': embedded null byte"):
+        charpair.family("seed-file:a\x00b")
+
+
 def test_seed_file_other_encoder(tmp_path):
     # a file of bits can also be read as a hub list routed through an encoder
     path = tmp_path / "list.bits"
@@ -646,6 +652,39 @@ def test_family_matches_loop_property(seed_dir, data):
         assert got == want
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_split_routes_any_elements_property(seed_dir, data):
+    # cli._curve_blocks splits the positions 0..L-1 to read the guide's layout.
+    kind = data.draw(st.sampled_from(["preset", "arith-set", "cycle", "file"]))
+    if kind == "preset":
+        seed = charpair.preset_seed(data.draw(st.sampled_from(PRESETS)))
+    elif kind == "arith-set":
+        seed = charpair.preset_seed("arith-set", data.draw(st.integers(1, 8)))
+    elif kind == "cycle":
+        pattern = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=8))
+        seed = charpair.SeedSpec(encoders.BINS, streams.cycle(pattern), f"cycle {pattern}")
+    else:
+        bits = data.draw(st.lists(st.integers(0, 1), max_size=80))
+        seed = charpair.seed_from_file(_write(seed_dir, " ".join(map(str, bits))))
+    budget = data.draw(st.integers(1, 200))
+    w = data.draw(st.integers(0, 80))
+    label = f"seed {seed.label}"
+    sources = [seed, guide.GuidePrefix(seed, budget)]
+    picked = charpair.family_from_seed(seed, budget).guide
+    sources += [picked] if isinstance(picked, guide.PeriodicGuide) else []
+    fuel = streams.Fuel(budget, label=label)
+    want = outcome(lambda: seed.split([0] * w, fuel))
+    if want[0] == "returned":
+        loop = list(islice(seed.bits(streams.Fuel(budget)), w))
+        want = ("returned", ([i for i in range(w) if loop[i] == 1],
+                             [i for i in range(w) if loop[i] != 1]))
+    for source in sources:
+        left = streams.Fuel(budget, label=label)
+        got = outcome(lambda: source.split(list(range(w)), left))
+        assert (got, left.remaining) == (want, fuel.remaining)
+
+
 def test_starving_seed_is_read_once_per_family():
     pulled = []
     counted = streams.smap(lambda i: pulled.append(i) or i, streams.arith(0, 1))
@@ -841,23 +880,9 @@ def test_prefix_without_fuel_uses_its_budget():
     assert (e.value.budget, e.value.label) == (500, "seed arith-set:1")
 
 
-@pytest.mark.parametrize("seed", [charpair.preset_seed("morton"), charpair.preset_seed("squares"),
-                                  charpair.preset_seed("bits-of-naturals")],
-                         ids=lambda seed: seed.label)
-def test_ones_before_counts_the_read_guide(seed):
-    prefix = guide.GuidePrefix(seed, 500)
-    charpair.generic_unpair(prefix, 2**120, streams.Fuel(500))
-    bits = list(islice(seed.bits(streams.Fuel(500)), 122))
-    assert [prefix.ones_before(w) for w in range(122)] == [sum(bits[:w]) for w in range(122)]
-    with pytest.raises(ValueError, match="positions asked of the guide prefix"):
-        prefix.ones_before(10**6)
-
-
 def test_family_fields_follow_twists():
     base = charpair.family("squares")
-    twisted = charpair.family("squares,xor:5,xor:12")
-    assert (base.guide is not None, base.mask) == (True, 0)
-    assert twisted.mask == 5 ^ 12
+    assert base.guide is not None
     assert charpair.twist_family(base, 7).guide is base.guide
     for spec in ("nadic:3", "cantor", "cantor,xor:3"):
         assert charpair.family(spec).guide is None
