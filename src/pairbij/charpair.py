@@ -36,6 +36,8 @@ family keeps.
     loop would read, in closed form, through fuel.spend.
 """
 
+import codecs
+import io
 import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
@@ -399,28 +401,50 @@ def preset_family(name: str, k: int | None = None,
     return family_from_seed(preset_seed(name, k), fuel_budget)
 
 
+# Bytes read from a seed file at a time: reading stops at the first chunk
+# that holds a fault, so an endless or huge bad file costs one chunk.
+_SEED_CHUNK = 1 << 16
+
+
 def read_seed_bits(path: str | Path) -> list[int]:
     """Read a seed file of ASCII 0/1 characters, ignoring whitespace.
 
     A file that cannot be read, or is not text, raises a PairbijError naming it.
+    The file is decoded a chunk at a time as Path.read_text would decode it
+    whole, and the first fault in it, a character that is not a bit or
+    whitespace or a byte that is not text, fails before the rest is read,
+    with its offset in the whole text or file.
     """
     try:
-        text = Path(path).read_text()
+        with open(path) as f:  # for the encoding that read_text picks
+            raw = codecs.getincrementaldecoder(f.encoding)()
+            text = io.IncrementalNewlineDecoder(raw, translate=True)
+            bits, at_byte, at_char, chunk = [], 0, 0, True
+            while chunk:
+                chunk = f.buffer.read(_SEED_CHUNK)
+                held = len(raw.getstate()[0])  # bytes of a character cut at the last chunk
+                try:
+                    part, bad = text.decode(chunk, final=not chunk), None
+                except UnicodeDecodeError as e:  # the text before the byte is read first
+                    part, bad = text.decode(chunk[:max(e.start - held, 0)]), e
+                for i, ch in enumerate(part, at_char):
+                    if ch.isspace():
+                        continue
+                    if ch in "01":
+                        bits.append(int(ch))
+                    else:
+                        raise InvalidBit(f"seed file {path}: unexpected character {ch!r}"
+                                         f" at offset {i}")
+                if bad:
+                    raise InvalidBit(f"seed file {path}: not text, byte"
+                                     f" {bad.object[bad.start]:#04x} at offset"
+                                     f" {at_byte - held + bad.start}")
+                at_byte += len(chunk)
+                at_char += len(part)
     except OSError as e:
         raise PairbijError(f"cannot read seed file {path}: {e.strerror or e}") from None
-    except UnicodeDecodeError as e:
-        raise InvalidBit(f"seed file {path}: not text, byte {e.object[e.start]:#04x}"
-                         f" at offset {e.start}") from None
     except ValueError as e:  # a path holding a NUL byte
         raise PairbijError(f"cannot read seed file {str(path)!r}: {e}") from None
-    bits = []
-    for i, ch in enumerate(text):
-        if ch.isspace():
-            continue
-        if ch in "01":
-            bits.append(int(ch))
-        else:
-            raise InvalidBit(f"seed file {path}: unexpected character {ch!r} at offset {i}")
     return bits
 
 

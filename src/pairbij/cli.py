@@ -9,7 +9,7 @@ import functools
 import os
 import sys
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, islice
 
 from . import charpair, encoders, nadic, streams
 from .errors import FuelExhausted, PairbijError
@@ -73,7 +73,12 @@ def _cmd_encode(args) -> int:
         raise PairbijError(f"encoder {source.name!r} expects {kind}")
     result = encoders.as_(target, source, value)
     if not isinstance(result, int):
-        result = list(result)
+        # A sequence can be far longer than its literal ([10**8] to bins), so
+        # the fuel budget caps how many elements are printed.
+        result = list(islice(result, args.fuel_budget + 1))
+        if len(result) > args.fuel_budget:
+            raise PairbijError(f"result has more than {args.fuel_budget} elements, the fuel"
+                               f" budget; --fuel or {FUEL_ENV} raises it")
     print(_format_value(result))
     return 0
 

@@ -24,6 +24,8 @@ def cons(b: int, x: int, y: int) -> int:
     _check_base(b)
     if x < 0 or y < 0:
         raise ZeroArgument(f"cons is defined on naturals, got x={x}, y={y}")
+    if b == 2:  # the y-th odd number, shifted: no power, no multiply
+        return (2 * y + 1) << x
     q = y // (b - 1)
     return b**x * (y + q + 1)
 
@@ -129,9 +131,18 @@ def nat_to_nats(b: int, n: int) -> list[int]:
 
 
 def nats_to_nat(b: int, xs: Iterable[int]) -> int:
-    """Fold a finite list back into a natural; inverse of nat_to_nats."""
+    """Fold a finite list back into a natural; inverse of nat_to_nats.
+
+    For b = 2 the fold inlines cons as one shift per element.
+    """
     _check_base(b)
     n = 0
+    if b == 2:
+        for x in reversed(list(xs)):
+            if x < 0:
+                raise ZeroArgument(f"cons is defined on naturals, got x={x}, y={n}")
+            n = (2 * n + 1) << x
+        return n
     for x in reversed(list(xs)):
         n = cons(b, x, n)
     return n

@@ -1,3 +1,5 @@
+import codecs
+import locale
 import sys
 import threading
 import tracemalloc
@@ -392,6 +394,45 @@ def test_seed_file_rejects_garbage(tmp_path):
     path.write_text("10x1")
     with pytest.raises(InvalidBit):
         charpair.seed_from_file(path)
+
+
+# Seed-file pieces: bits, whitespace of one and of several bytes, line ends,
+# a bad character and bytes that are not UTF-8 text.
+SEED_PIECES = [b"0", b"1", b" ", b"\n", b"\r", b"\r\n", "\u00a0".encode(), "\u2003".encode(),
+               b"x", b"\x00", "\u00e9".encode(), b"\xff", b"\xe2\x80", b"\x85"]
+
+
+def _first_seed_fault(data: bytes):
+    """The bits of a UTF-8 seed file, or the message for its first fault."""
+    try:
+        text, bad = data.decode(), None
+    except UnicodeDecodeError as e:
+        text, bad = data[:e.start].decode(), e.start
+    for i, ch in enumerate(text.replace("\r\n", "\n").replace("\r", "\n")):
+        if not (ch.isspace() or ch in "01"):
+            return f"unexpected character {ch!r} at offset {i}"
+    if bad is not None:
+        return f"not text, byte {data[bad]:#04x} at offset {bad}"
+    return [int(ch) for ch in text if ch in "01"]
+
+
+@pytest.mark.skipif(codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+                    reason="seed files decode with the locale encoding")
+@given(st.lists(st.sampled_from(SEED_PIECES), max_size=40),
+       st.sampled_from([1, 2, 3, 5, 64]))
+@settings(max_examples=300, deadline=None)
+def test_seed_file_reads_by_chunks_as_a_whole_property(seed_dir, pieces, chunk):
+    data = b"".join(pieces)
+    path = seed_dir / "chunked.bits"
+    path.write_bytes(data)
+    want = _first_seed_fault(data)
+    with mock.patch.object(charpair, "_SEED_CHUNK", chunk):
+        if isinstance(want, list):
+            assert charpair.read_seed_bits(path) == want
+        else:
+            with pytest.raises(InvalidBit) as e:
+                charpair.read_seed_bits(path)
+            assert str(e.value) == f"seed file {path}: {want}"
 
 
 def test_seed_file_path_with_a_nul_byte():

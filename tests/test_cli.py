@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import io
+import os
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -86,6 +87,23 @@ def test_encode_empty_list(capsys):
     code, out, _ = run(capsys, "encode", "--from", "list", "--to", "bins", "[]")
     assert code == 0
     assert out.strip() == "[0]"
+
+
+def test_encode_prints_at_most_the_fuel_budget(monkeypatch, capsys):
+    assert run(capsys, "--fuel", "5", "encode", "--from", "list", "--to", "bins", "[4]") == (
+        0, "[0,0,0,0,1]\n", "")
+    monkeypatch.setenv(cli.FUEL_ENV, "5")
+    code, out, err = run(capsys, "encode", "--from", "list", "--to", "bins", "[5]")
+    assert (code, out) == (2, "")
+    assert err == ("error: result has more than 5 elements, the fuel budget;"
+                   " --fuel or PAIRBIJ_FUEL raises it\n")
+
+
+def test_encode_refuses_an_endless_run(capsys):
+    for literal in ("[100000000]", f"[{2**70}]"):
+        code, out, err = run(capsys, "encode", "--from", "list", "--to", "bins", literal)
+        assert (code, out) == (2, "")
+        assert "more than 1000000 elements" in err
 
 
 def test_encode_wrong_literal_kind(capsys):
@@ -327,6 +345,32 @@ def test_binary_seed_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "unpair", f"seed-file:{path}", "3")
     assert code == 2
     assert f"seed file {path}: not text, byte 0xff at offset 2" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_seed_file_stops_at_its_first_character(capsys):
+    argv = ["unpair", "seed-file:/dev/zero", "3"]
+    assert run(capsys, *argv)[0] == 2  # builds the parser outside the trace
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: seed file /dev/zero: unexpected character '\\x00' at offset 0\n"
+    assert peak <= 2**20  # a chunk or two, not the endless file
+
+
+def test_seed_file_fault_past_the_first_chunk(tmp_path, capsys):
+    n = 3 * charpair._SEED_CHUNK + 1  # neither fault sits in the first chunk
+    path = tmp_path / "late.bits"
+    path.write_bytes(b"01" * n + b"\r\n0x\xff")
+    code, _, err = run(capsys, "unpair", f"seed-file:{path}", "3")
+    assert code == 2 and f"unexpected character 'x' at offset {2 * n + 2}" in err
+    path.write_bytes(b"01" * n + b"\r\n0\xffx")
+    code, _, err = run(capsys, "unpair", f"seed-file:{path}", "3")
+    assert code == 2 and f"not text, byte 0xff at offset {2 * n + 3}" in err
 
 
 def test_curve_unwritable_out_exits_2(tmp_path, capsys):

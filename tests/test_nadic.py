@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairbij import nadic, streams
@@ -265,3 +265,45 @@ def test_unpair_columns_match_unpair(data):
         lo = max(n - data.draw(st.integers(0, rows - 1)), 0)
     xs, ys = nadic.unpair_columns(b, lo, lo + rows)
     assert list(zip(xs, ys)) == [nadic.unpair(b, n) for n in range(lo, lo + rows)]
+
+
+# Base-2 fold elements: short gaps, and runs longer than 2**14.
+base2_gaps = st.integers(0, 40) | st.integers(2**14 + 1, 2**15)
+
+
+@settings(deadline=None)
+@given(base2_gaps, st.integers(0, 2**300))
+@example(0, 0)
+def test_cons_base2_shift_matches_power_property(x, y):
+    assert nadic.cons(2, x, y) == 2**x * (2 * y + 1)
+
+
+@settings(deadline=None)
+@given(st.lists(base2_gaps, max_size=30))
+@example([])
+@example([0, 0, 2**14 + 1, 0])
+def test_nats_to_nat_base2_matches_binary_string_property(xs):
+    # each element x is a one then x zeros, most significant element last
+    want = int("".join("1" + "0" * x for x in reversed(xs)) or "0", 2)
+    assert nadic.nats_to_nat(2, xs) == want
+    assert nadic.nats_to_nat(2, iter(xs)) == want
+    assert nadic.nat_to_nats(2, want) == xs
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nadic.cons(2, -1, 4), "cons is defined on naturals, got x=-1, y=4"),
+    (lambda: nadic.nats_to_nat(2, [3, -1, 2]), "cons is defined on naturals, got x=-1, y=4"),
+    (lambda: nadic.nats_to_nat(2, [-3]), "cons is defined on naturals, got x=-3, y=0"),
+], ids=["cons", "fold", "fold-first"])
+def test_base2_negative_element_message(call, message):
+    # the same error as the general cons, with y the value folded so far
+    with pytest.raises(ZeroArgument) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_base2_fold_refuses_a_float():
+    with pytest.raises(TypeError):
+        nadic.nats_to_nat(2, [2.0])
+    with pytest.raises(TypeError):
+        nadic.cons(2, 2.0, 0)
