@@ -7,15 +7,16 @@ split the same way. Any seed whose guide keeps alternating between ones and
 zeros in finite blocks yields a bijection; degenerate seeds make the process
 diverge, which fuel turns into a FuelExhausted error instead of a hang.
 
-Guides are routed in three places: bmerge, _route (behind bsplit and
-SeedSpec.split) and SeedSpec.merge. generic_pair and generic_unpair call
-any of three guide sources alike: a SeedSpec, or one of the fast paths in
-guide, a GuidePrefix or a PeriodicGuide; family_from_seed picks the one a
-family keeps.
+Guides are routed in three places: bmerge, bsplit (through _route and
+_side, which serve it alone) and the loops of SeedSpec's merge and split.
+generic_pair and generic_unpair call any of three guide sources alike: a
+SeedSpec, or one of the fast paths in guide, a GuidePrefix or a
+PeriodicGuide; family_from_seed picks the one a family keeps.
   - bmerge's singleton endings emit the last element without consulting the
     guide, and its golden values depend on that; generic_pair's padding must
-    respect positions past the end of one side, so SeedSpec.merge keeps a
-    loop of its own.
+    respect positions past the end of one side, and generic_unpair delimits
+    each side past the payload, so SeedSpec's merge and split keep loops of
+    their own.
   - SeedSpec's merge and split read the guide from position 0 on every
     call. They are the reference that the fast paths are tested against,
     and they serve direct callers. A family whose seed repeats a pattern
@@ -42,7 +43,7 @@ import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat, tee
+from itertools import chain, count, islice, tee
 from math import isqrt
 from pathlib import Path
 from typing import ClassVar
@@ -227,31 +228,28 @@ class SeedSpec:
     def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
         """The bits generic_unpair routes to the guide's ones and to its zeros.
 
-        _route pairs the payload, then end markers, with guide bits, as bsplit
-        does; a side ends at its first marker, and the call once both have.
-        Both sides are collected in that one pass, so a guide that starves a
-        side holds nothing for it. As in merge, the guide is read unmetered,
-        to at most fuel.read_limit() positions, and charged as the call leaves.
+        Each side ends at the first position past the payload that the guide
+        gives it, and the call once both have; those positions keep nothing,
+        so a guide that starves a side holds no memory. As in merge, the
+        guide is read unmetered, to at most fuel.read_limit() positions, and
+        charged as the call leaves.
         """
-        limit = fuel.read_limit()
+        length = len(payload)
+        ones: list[int] = []
+        zeros: list[int] = []
+        delimited: set[bool] = set()
         read = 0
-        sides, open_sides = {1: [], 0: []}, {1, 0}
         try:
-            for bit, n in _route(islice(self._guide(), limit), chain(payload, repeat(None))):
-                if bit is None:
-                    raise n
-                read += 1
-                if n is not None:
-                    sides[bit].append(n)
+            for read, bit in enumerate(islice(self._guide(), fuel.read_limit()), 1):
+                if read <= length:
+                    (ones if bit == 1 else zeros).append(payload[read - 1])
                 else:
-                    open_sides.discard(bit)
-                    if not open_sides:
-                        return sides[1], sides[0]
-        except GuideExhausted:
-            # If islice cut the guide at the limit, spend raises FuelExhausted in its place.
-            raise exhausted(self.label, read, UNDELIMITED) from None
+                    delimited.add(bit == 1)
+                    if len(delimited) == 2:
+                        return ones, zeros
         finally:
             fuel.spend(read)
+        raise exhausted(self.label, read, UNDELIMITED)
 
 
 # -- the generic construction ------------------------------------------------------

@@ -50,9 +50,10 @@ class GuidePrefix:
     that double the prefix, under a lock, and never past fuel_budget + 1
     positions: a call that needs more runs out of fuel whatever the guide
     holds there.
-    Positions are kept as maximal runs of equal bits. Runs alternate, so run
-    r holds the bit first ^ (r & 1); each run stores its start and the ones
-    and zeros before it, 24 bytes a run.
+    Positions are kept as runs of equal bits. Run 0 holds ones and starts
+    at position 0, empty when the guide starts with a zero; runs alternate
+    after it, so even runs hold ones and odd runs zeros. Each run stores its
+    start and the ones and zeros before it, 24 bytes a run.
 
     merge and split route bit forms by whole runs and tick the call's fuel
     by exactly the positions the loop over the plain seed would read, so
@@ -61,7 +62,7 @@ class GuidePrefix:
     that reaches it raises again. Calls may come from several threads.
     """
 
-    __slots__ = ("seed", "label", "budget", "_lock", "_bits", "_first",
+    __slots__ = ("seed", "label", "budget", "_lock", "_bits",
                  "_starts", "_ones", "_zeros", "_state")
 
     def __init__(self, seed, fuel_budget: int = streams.DEFAULT_FUEL):
@@ -70,26 +71,23 @@ class GuidePrefix:
         self.budget = fuel_budget
         self._lock = threading.Lock()
         self._bits = None
-        self._first = 1
-        self._starts, self._ones, self._zeros = array("q"), array("q"), array("q")
+        self._starts, self._ones, self._zeros = array("q", [0]), array("q", [0]), array("q", [0])
         # (runs, positions, ones), replaced whole after the arrays have grown,
         # so a reader never takes the lock; then stop: None while the guide may
         # go on, StopIteration() once it has ended, else the error it raised.
-        self._state = (0, 0, 0, None)
+        self._state = (1, 0, 0, None)
 
     def _grow(self, upto: int) -> None:
         """Read the guide on to `upto` positions or to its end; the caller holds the lock."""
         runs, n, o, stop = self._state
         starts, ones, zeros = self._starts, self._ones, self._zeros
-        last = self._first ^ ((runs - 1) & 1) if runs else -1
+        last = runs & 1  # the bit of run runs - 1
         try:
             if self._bits is None:
                 self._bits = self.seed._guide()
             for bit in islice(self._bits, upto - n):
                 bit = 1 if bit == 1 else 0  # as the loop reads it; a bins guide may hold 1.0
                 if bit != last:
-                    if not starts:
-                        self._first = bit
                     starts.append(n)
                     ones.append(o)
                     zeros.append(n - o)
@@ -111,7 +109,7 @@ class GuidePrefix:
         limit = fuel.read_limit()
         state = self._state
         runs, n, o, stop = state
-        while ((o < ones or n - o < zeros or not runs or self._starts[runs - 1] <= past)
+        while ((o < ones or n - o < zeros or not n or self._starts[runs - 1] <= past)
                and stop is None and n < limit):
             with self._lock:
                 if self._state is state:
@@ -152,19 +150,16 @@ class GuidePrefix:
         else:
             reach, xend, yend = r0 + 1, end - ly, ly
             xs += [0] * (xend - lx)
-        # Runs 2i and 2i+1 hold one run of each bit: the first draws from a,
-        # the second from b, each up to its count before run 2i+2.
-        a, b, acut, bcut, aend, bend = (xs, ys, ones, zeros, xend, yend) if self._first \
-            else (ys, xs, zeros, ones, yend, xend)
+        # Run 2i draws from xs and run 2i+1 from ys, each up to its count before run 2i+2.
         merged: list[int] = []
         i = k = 0
         for r in range(2, reach, 2):
-            j, m = acut[r], bcut[r]
-            merged += a[i:j]
-            merged += b[k:m]
+            j, m = ones[r], zeros[r]
+            merged += xs[i:j]
+            merged += ys[k:m]
             i, k = j, m
-        merged += a[i:aend]
-        merged += b[k:bend]
+        merged += xs[i:xend]
+        merged += ys[k:yend]
         return merged
 
     def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
@@ -176,8 +171,9 @@ class GuidePrefix:
         if after == runs:
             self._fail(known, stop, fuel, UNDELIMITED)
         fuel.spend(starts[after] + 1)
-        # Runs 0..after-1 cover the payload; runs 2i and 2i+1 go to different
-        # sides. A slice may run past the payload's end, which cuts it there.
+        # Runs 0..after-1 cover the payload; run 2i goes to the ones and run
+        # 2i+1 to the zeros. A slice may run past the payload's end, which
+        # cuts it there.
         a: list[int] = []
         b: list[int] = []
         i = 0
@@ -189,7 +185,7 @@ class GuidePrefix:
         j = starts[(after - 1) | 1]
         a += payload[i:j]
         b += payload[j:]
-        return (a, b) if self._first else (b, a)
+        return a, b
 
 
 def periodic_pattern(seed) -> tuple:

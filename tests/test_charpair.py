@@ -740,8 +740,16 @@ def test_prefix_matches_loop_invariant():
     seeds = [charpair.preset_seed("arith-set", 2), charpair.preset_seed("squares"),
              charpair.SeedSpec(encoders.BINS, streams.from_list([1, 0, 0, 1, 1, 0, 1]), "short"),
              # the loop reads any bit equal to 1 as a one
-             charpair.SeedSpec(encoders.BINS, streams.cycle([1.0, 0, False]), "not ints")]
-    assert prefix_matches_loop(seeds, (1, 2, 5, 9, 40, streams.DEFAULT_FUEL), 300, 12) == []
+             charpair.SeedSpec(encoders.BINS, streams.cycle([1.0, 0, False]), "not ints"),
+             # runs longer than the prefix's first read of 64 positions
+             charpair.SeedSpec(encoders.BINS, streams.from_list([0] * 100 + [1, 0, 1]),
+                               "long leading zeros"),
+             charpair.SeedSpec(encoders.BINS, streams.cycle([0] * 70 + [1] * 70), "long cycle"),
+             charpair.SeedSpec(encoders.BINS, streams.from_list([1] * 130 + [0] * 130 + [1]),
+                               "long runs"),
+             charpair.SeedSpec(encoders.SET, streams.from_list([300, 301, 700]), "far set")]
+    budgets = (1, 2, 5, 9, 40, 64, 65, streams.DEFAULT_FUEL)
+    assert prefix_matches_loop(seeds, budgets, 300, 12) == []
 
 
 # Each loop reads its guide unmetered and charges the fuel as it leaves; these
@@ -818,9 +826,16 @@ def test_loop_takes_a_budget_past_the_word_size():
     assert fuel.remaining == 10**30 - 5
 
 
+def _raising_stream():
+    yield from (1, 0, 1)
+    raise GuideExhausted("inner stream gave out", position=99, label="inner")
+
+
 def test_prefix_matches_loop_on_malformed_guides():
     seeds = [charpair.SeedSpec(encoders.BINS, streams.from_list([1, 0, 1, 0, 2, 1, 0]), "bad bit"),
-             charpair.SeedSpec(encoders.SET, streams.from_list([0, 2, 2, 5]), "not increasing")]
+             charpair.SeedSpec(encoders.SET, streams.from_list([0, 2, 2, 5]), "not increasing"),
+             # an error raised inside the seed's stream passes through every reader
+             charpair.SeedSpec(encoders.BINS, streams.Stream(_raising_stream), "raises")]
     assert prefix_matches_loop(seeds, (1, 3, 4, 5, 100), 40, 6) == []
 
 

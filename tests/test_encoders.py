@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairbij import encoders, nadic, streams
+from pairbij import encoders, streams
 from pairbij.errors import (
     InvalidBit,
     NotNonDecreasing,
