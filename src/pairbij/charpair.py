@@ -508,6 +508,8 @@ def cantor_family() -> PairingFamily:
 
 def twist_family(f: PairingFamily, mask: int) -> PairingFamily:
     """XOR the paired value with a fixed mask; still a bijection, new family member."""
+    if mask < 0:  # a negative mask would pair into the negative integers
+        raise ZeroArgument(f"xor mask must be non-negative, got {mask}")
 
     def unpair(n: int) -> tuple[int, int]:
         if n < 0:  # before the XOR, so that the message names the caller's n

@@ -136,30 +136,28 @@ class GuidePrefix:
         # has it; a guide that stops at position 0 gives [] only if it ended.
         if o < lx or n - o < ly or not n and not isinstance(stop, StopIteration):
             self._fail(n, stop, fuel, UNPLACED)
-        starts, ones, zeros = self._starts, self._ones, self._zeros
-        # The runs holding the guide's lx-th one and ly-th zero; the later ends the call.
-        r1 = bisect_right(ones, lx - 1, 0, runs) - 1
-        r0 = bisect_right(zeros, ly - 1, 0, runs) - 1
-        p1 = starts[r1] + lx - 1 - ones[r1] if lx else -1
-        p0 = starts[r0] + ly - 1 - zeros[r0] if ly else -1
+        ones, zeros = self._ones, self._zeros
+        # The runs of the guide's lx-th one and ly-th zero, and their positions (the ones
+        # and zeros before them); searched from run 1, an empty side finds run 0 and -1.
+        # The later position ends the call; each side is padded to its count before it.
+        r1 = bisect_right(ones, lx - 1, 1, runs) - 1
+        r0 = bisect_right(zeros, ly - 1, 1, runs) - 1
+        p1, p0 = zeros[r1] + lx - 1, ones[r0] + ly - 1
         end = min(max(p1, p0, 0) + 1, n)
         fuel.spend(end)
-        if p1 > p0:
-            reach, xend, yend = r1 + 1, lx, end - lx
-            ys += [0] * (yend - ly)
-        else:
-            reach, xend, yend = r0 + 1, end - ly, ly
-            xs += [0] * (xend - lx)
+        n1 = lx if p1 > p0 else end - ly
+        xs += [0] * (n1 - lx)
+        ys += [0] * (end - n1 - ly)
         # Run 2i draws from xs and run 2i+1 from ys, each up to its count before run 2i+2.
         merged: list[int] = []
         i = k = 0
-        for r in range(2, reach, 2):
+        for r in range(2, max(r1, r0) + 1, 2):
             j, m = ones[r], zeros[r]
             merged += xs[i:j]
             merged += ys[k:m]
             i, k = j, m
-        merged += xs[i:xend]
-        merged += ys[k:yend]
+        merged += xs[i:]
+        merged += ys[k:]
         return merged
 
     def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:

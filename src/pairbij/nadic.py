@@ -84,11 +84,11 @@ def unpair_columns(b: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
 
     The rows of z = n + 1 = b**k * u with b not dividing u have x = k and
     y = u - u // b - 1. At level k, the rows whose u share a residue mod b
-    sit every b**(k+1) rows, y rising by b - 1, and the rows whose u lie
-    between two multiples of b sit every b**k rows, y rising by 1; the level
-    fills y with whichever needs fewer extended slices. x takes k at every
-    multiple of b**k, which the levels above overwrite. Once b**k passes the
-    block's length, at most one row is left, and decons answers it.
+    sit every b**(k+1) rows, y rising by b - 1, and the rows whose u run
+    from a multiple of b up to the next sit every b**k rows, y rising by 1;
+    the level fills y with whichever needs fewer extended slices, and x with
+    k. A multiple of b**(k+1) is left to the levels above, which rewrite it;
+    once b**k passes the block's length, decons answers any row left.
     """
     _check_base(b)
     if lo < 0:
@@ -108,9 +108,8 @@ def unpair_columns(b: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
                     ys[i::stride] = range(y, y + (b - 1) * len(range(i, size, stride)), b - 1)
         else:
             for m in range(first // b, last // b + 1):
-                u, v = max(m * b + 1, first), min(m * b + b - 1, last)
-                if u <= v:
-                    ys[u * step - z0:v * step - z0 + 1:step] = range(u - m - 1, v - m)
+                u, v = max(m * b, first), min(m * b + b - 1, last)
+                ys[u * step - z0:v * step - z0 + 1:step] = range(u - m - 1, v - m)
         k, step = k + 1, stride
     i = -(-z0 // step) * step - z0
     if i < size:

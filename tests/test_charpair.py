@@ -545,6 +545,14 @@ def test_twisted_negative_names_the_callers_n(spec):
     assert str(info.value) == "unpair is defined on naturals, got -1"
 
 
+@pytest.mark.parametrize("spec", ["morton", "squares", "nadic:3", "cantor"])
+def test_twist_refuses_a_negative_mask(spec):
+    # unchecked, morton twisted by -1 pairs (3, 5) to -40
+    with pytest.raises(ZeroArgument) as info:
+        charpair.twist_family(charpair.family(spec), -1)
+    assert str(info.value) == "xor mask must be non-negative, got -1"
+
+
 def test_twist_zero_mask_is_identity():
     fam = charpair.preset_family("morton")
     twisted = charpair.twist_family(fam, 0)
