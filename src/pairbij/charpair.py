@@ -37,8 +37,6 @@ PeriodicGuide; family_from_seed picks the one a family keeps.
     loop would read, in closed form, through fuel.spend.
 """
 
-import codecs
-import io
 import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
@@ -329,6 +327,8 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
     holding both a 0 and a 1, else a GuidePrefix, so that the guide is read
     once per family.
     """
+    if fuel_budget <= 0:  # else every call would fail on it
+        raise PairbijError(f"fuel budget must be positive, got {fuel_budget}")
     pattern = periodic_pattern(seed)
     if pattern:
         guide = PeriodicGuide(seed, *pattern, fuel_budget)
@@ -399,8 +399,9 @@ def preset_family(name: str, k: int | None = None,
     return family_from_seed(preset_seed(name, k), fuel_budget)
 
 
-# Bytes read from a seed file at a time: reading stops at the first chunk
-# that holds a fault, so an endless or huge bad file costs one chunk.
+# Characters read from a seed file at a time, at most 4 bytes each: reading
+# stops at the first chunk that holds a fault, so an endless or huge bad file
+# costs one chunk.
 _SEED_CHUNK = 1 << 16
 
 
@@ -409,36 +410,32 @@ def read_seed_bits(path: str | Path) -> list[int]:
 
     A file that cannot be read, or is not text, raises a PairbijError naming it.
     The file is decoded a chunk at a time as Path.read_text would decode it
-    whole, and the first fault in it, a character that is not a bit or
-    whitespace or a byte that is not text, fails before the rest is read,
-    with its offset in the whole text or file.
+    whole, except that a byte that is not text arrives as a lone surrogate in
+    its place. The first fault, a character that is not a bit or whitespace
+    or a byte that is not text, fails before the rest is read, with its
+    offset in the whole text (each line end one character, as read_text
+    gives it) or file.
     """
     try:
-        with open(path) as f:  # for the encoding that read_text picks
-            raw = codecs.getincrementaldecoder(f.encoding)()
-            text = io.IncrementalNewlineDecoder(raw, translate=True)
-            bits, at_byte, at_char, chunk = [], 0, 0, True
-            while chunk:
-                chunk = f.buffer.read(_SEED_CHUNK)
-                held = len(raw.getstate()[0])  # bytes of a character cut at the last chunk
-                try:
-                    part, bad = text.decode(chunk, final=not chunk), None
-                except UnicodeDecodeError as e:  # the text before the byte is read first
-                    part, bad = text.decode(chunk[:max(e.start - held, 0)]), e
-                for i, ch in enumerate(part, at_char):
-                    if ch.isspace():
-                        continue
-                    if ch in "01":
-                        bits.append(int(ch))
-                    else:
-                        raise InvalidBit(f"seed file {path}: unexpected character {ch!r}"
-                                         f" at offset {i}")
-                if bad:
+        # read_text's encoding; newline="" keeps line ends, so the text encodes back to the bytes
+        with open(path, newline="", errors="surrogateescape") as f:
+            bits, at_byte, at_char, cr = [], 0, 0, False
+            while text := f.read(_SEED_CHUNK):
+                digits = "".join(text.split())
+                fault = digits.lstrip("01")[:1]
+                i = text.index(fault) if fault else len(text)
+                if "\udc80" <= fault <= "\udcff":  # what surrogateescape makes of a byte
+                    at_byte += len(text[:i].encode(f.encoding))
                     raise InvalidBit(f"seed file {path}: not text, byte"
-                                     f" {bad.object[bad.start]:#04x} at offset"
-                                     f" {at_byte - held + bad.start}")
-                at_byte += len(chunk)
-                at_char += len(part)
+                                     f" {ord(fault) - 0xDC00:#04x} at offset {at_byte}")
+                # read_text reads \r\n as one character, also when a chunk cuts it
+                at_char += i - text.count("\r\n", 0, i) - (cr and text[0] == "\n")
+                if fault:
+                    raise InvalidBit(f"seed file {path}: unexpected character {fault!r}"
+                                     f" at offset {at_char}")
+                bits += map(int, digits)
+                at_byte += len(text.encode(f.encoding))
+                cr = text[-1] == "\r"
     except OSError as e:
         raise PairbijError(f"cannot read seed file {path}: {e.strerror or e}") from None
     except ValueError as e:  # a path holding a NUL byte

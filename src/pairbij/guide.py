@@ -11,6 +11,7 @@ charpair.generic_pair and generic_unpair call all three alike:
     position, reading no guide at all.
 """
 
+import copy
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
@@ -34,13 +35,6 @@ def _check_fuel(source, fuel: streams.Fuel) -> None:
     if fuel.remaining > source.budget:
         raise ValueError(f"fuel of {fuel.remaining} pulls exceeds the budget"
                          f" of the guide of {source.label}, {source.budget}")
-
-
-def _again(e: Exception) -> Exception:
-    """A fresh copy of a stored guide error, so that each call raises its own."""
-    fresh = type(e)(*e.args)
-    fresh.__dict__.update(e.__dict__)
-    return fresh
 
 
 class GuidePrefix:
@@ -123,7 +117,7 @@ class GuidePrefix:
         fuel.spend(n)
         if isinstance(stop, StopIteration):
             raise exhausted(self.label, n, what)
-        raise _again(stop)
+        raise copy.copy(stop)  # each call raises its own
 
     def merge(self, xs: list[int], ys: list[int], fuel: streams.Fuel) -> list[int]:
         """The bits generic_pair places: xs on the guide's ones, ys on its zeros.

@@ -553,6 +553,25 @@ def test_twist_refuses_a_negative_mask(spec):
     assert str(info.value) == "xor mask must be non-negative, got -1"
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("spec", ["morton", "squares", "arith-set:1", "seed-file", "squares,xor:5"])
+def test_family_refuses_a_non_positive_budget(tmp_path, spec, budget):
+    # unrefused, the family builds and every call raises a bare ValueError from Fuel
+    if spec == "seed-file":
+        path = tmp_path / "alt.bits"
+        path.write_text("1010")
+        spec = f"seed-file:{path}"
+    with pytest.raises(PairbijError) as info:
+        charpair.family(spec, budget)
+    assert str(info.value) == f"fuel budget must be positive, got {budget}"
+
+
+@pytest.mark.parametrize("spec", ["nadic:3", "cantor"])
+def test_family_without_fuel_takes_any_budget(spec):
+    fam = charpair.family(spec, 0)
+    assert fam.unpair(fam.pair(4, 7)) == (4, 7)
+
+
 def test_twist_zero_mask_is_identity():
     fam = charpair.preset_family("morton")
     twisted = charpair.twist_family(fam, 0)
@@ -845,6 +864,26 @@ def test_prefix_matches_loop_on_malformed_guides():
              # an error raised inside the seed's stream passes through every reader
              charpair.SeedSpec(encoders.BINS, streams.Stream(_raising_stream), "raises")]
     assert prefix_matches_loop(seeds, (1, 3, 4, 5, 100), 40, 6) == []
+
+
+def _missing_part_stream():
+    yield from (1, 0, 1)
+    raise FileNotFoundError(2, "No such file or directory", "seed-part")
+
+
+def test_family_reraises_a_stored_guide_error_whole():
+    # outcome() catches only PairbijError, so prefix_matches_loop cannot take this seed
+    seed = charpair.SeedSpec(encoders.BINS, streams.Stream(_missing_part_stream), "missing part")
+    with pytest.raises(FileNotFoundError) as want:
+        charpair.generic_unpair(seed, 5, streams.Fuel(label="seed missing part"))
+    fam = charpair.family_from_seed(seed)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(FileNotFoundError) as got:
+            fam.unpair(5)
+        assert (str(got.value), got.value.filename) == (str(want.value), "seed-part")
+        raised.append(got.value)
+    assert raised[0] is not raised[1]  # each call raises its own
 
 
 # The presets, starving guides and 0/1 cycles, and two guides that stop at

@@ -399,6 +399,33 @@ def test_selftest_passes(capsys):
         "guide prefix vs loop", "curve walk vs unpair")]
 
 
+def test_selftest_reports_a_failing_row(monkeypatch, capsys):
+    from pairbij import invariants
+
+    def raises(r):
+        raise PairbijError("row gave out")
+
+    rows = list(invariants.SELFTESTS[:3])
+    rows[1] = (rows[1][0], lambda r: ["1 != 2", "3 != 4"])
+    rows[2] = (rows[2][0], raises)
+    monkeypatch.setattr(invariants, "SELFTESTS", rows)
+    assert run(capsys, "selftest", "--range", "5") == (1, (
+        "PASS nadic golden values\n"
+        "FAIL nadic roundtrips: 1 != 2; 3 != 4\n"
+        "FAIL permutation composition law: row gave out\n"), "")
+
+
+def test_unterminated_list_literal_exits_2(capsys):
+    assert run(capsys, "encode", "--from", "list", "--to", "nat", "[1,2") == (
+        2, "", "error: unterminated list literal: '[1,2'\n")
+
+
+def test_fuel_env_variable_must_be_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv(cli.FUEL_ENV, "abc")
+    assert run(capsys, "unpair", "morton", "5") == (
+        2, "", "error: PAIRBIJ_FUEL must be an integer, got 'abc'\n")
+
+
 def test_selftest_range_zero(capsys):
     code, out, _ = run(capsys, "selftest", "--range", "0")
     assert code == 0

@@ -233,6 +233,29 @@ def test_negative_arguments_raise(fn):
         fn()
 
 
+@pytest.mark.parametrize("fn, message", [
+    (lambda: nadic.nat_to_nats(3, -1), "nat_to_nats is defined on naturals, got -1"),
+    (lambda: nadic.nat_to_nats_mixed(streams.arith(2, 1), -1),
+     "nat_to_nats_mixed is defined on naturals, got -1"),
+])
+def test_negative_expansion_names_its_function(fn, message):
+    with pytest.raises(ZeroArgument) as info:
+        fn()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fn, message", [
+    (lambda: nadic.nat_to_nats_mixed(streams.from_list([2]), 1644),
+     "base stream ended before the expansion finished"),
+    (lambda: nadic.nats_to_nat_mixed(streams.from_list([2]), [2, 0]),
+     "base stream ended before the fold finished"),
+])
+def test_mixed_base_stream_ending_early_raises(fn, message):
+    with pytest.raises(InvalidBase) as info:
+        fn()
+    assert str(info.value) == message
+
+
 @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10**30))
 def test_pair_roundtrip_property(b, n):
     assert nadic.pair(b, *nadic.unpair(b, n)) == n

@@ -1,20 +1,31 @@
-"""The README's "Library tour" runs, and every value its comments give holds."""
+"""The README's "Library tour" runs, and every value its comments give holds;
+so do the outputs its "Command line" section gives."""
 
 import ast
 import io
 import re
+import shlex
+import sys
 import tokenize
 from collections.abc import Iterator
 from pathlib import Path
 
+import pytest
+
+from pairbij import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _section(heading: str) -> str:
+    """The README's text under a "## " heading, up to the next one."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def _tour() -> str:
     """The fenced python block under the "Library tour" heading."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library tour\n", 1)[1]
-    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    return _section("Library tour").split("```python\n", 1)[1].split("\n```", 1)[0]
 
 
 def test_library_tour_values_hold():
@@ -38,3 +49,23 @@ def test_library_tour_values_hold():
             wrong.append(f"{ast.unparse(stmt)} gives {got!r}, the README says {want}")
     assert checked, "no `<expr>  # <value>` line found in the Library tour"
     assert not wrong, wrong
+
+
+def test_command_table_outputs_hold(capsys):
+    # rows `| `<command>` | `pairbij <args>` | `<output>` |`: the output cell is one literal
+    rows = re.findall(r"^\| `\w+` \| `pairbij ([^`]*)` \| `([^`]*)` \|$",
+                      _section("Command line"), re.MULTILINE)
+    assert rows, "no command-table row with a literal output found"
+    for command, want in rows:
+        code = cli.main(shlex.split(command))
+        assert (code, capsys.readouterr().out) == (0, want + "\n"), command
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="needs CPython's limit on decimal digits")
+def test_too_long_result_exits_2_naming_the_limit(capsys):
+    command = re.search(r"too long to print \(`pairbij ([^`]*)`\)", _section("Command line"))[1]
+    assert cli.main(shlex.split(command)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"limit of {sys.get_int_max_str_digits()} decimal digits" in err
