@@ -543,7 +543,7 @@ def _base_family(head: str, fuel_budget: int) -> PairingFamily:
     kind, colon, arg = head.partition(":")
     if kind == "nadic" and colon:
         b = parse_nat(arg, "valuation base")
-        nadic.decons(b, 1)  # fail early on b < 2
+        nadic.check_base(b)  # fail early, not at the first call
         return PairingFamily(
             head, lambda x, y: nadic.pair(b, x, y), lambda n: nadic.unpair(b, n),
             columns=lambda lo, hi: nadic.unpair_columns(b, lo, hi),

@@ -1,7 +1,7 @@
 """Command-line surface: pair, unpair, encode, permute, curve, selftest.
 
 Exit codes: 0 on success, 1 when selftest finds an invariant violation,
-2 on usage, input, or fuel errors.
+2 on usage, input, fuel or memory errors.
 """
 
 import argparse
@@ -84,8 +84,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_permute(args) -> int:
-    nadic.decons(args.k, 1)
-    nadic.decons(args.l, 1)
+    nadic.check_base(args.k)
+    nadic.check_base(args.l)
     for n in range(charpair.parse_nat(args.upto, "upto") + 1):
         print(f"{n} {nadic.bij(args.k, args.l, n)}")
     return 0
@@ -98,17 +98,6 @@ def _unpair_at(fam: charpair.PairingFamily, n: int) -> tuple[int, int]:
         raise PairbijError(f"unpair diverged at n={n}: {e}") from None
     except PairbijError as e:
         raise PairbijError(f"unpair failed at n={n}: {e}") from None
-
-
-def _unpair_columns(fam: charpair.PairingFamily, lo: int, hi: int) -> tuple:
-    """The unpair of every n in [lo, hi), as columns (xs, ys)."""
-    ns = range(lo, hi)
-    try:
-        rows = list(map(fam.unpair, ns))
-    except PairbijError:
-        rows = [_unpair_at(fam, n) for n in ns]
-    xs, ys = zip(*rows)
-    return xs, ys
 
 
 # Rows per block of the walk, 2**12: enough that a block's fixed cost is small
@@ -146,31 +135,29 @@ def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
     spans = (range(lo, min(lo + block, count + 1)) for lo in range(0, count + 1, block))
     guide = fam.guide
     if guide is None:
-        columns = fam.columns or functools.partial(_unpair_columns, fam)
+        columns = fam.columns or (
+            lambda lo, hi: tuple(zip(*(_unpair_at(fam, n) for n in range(lo, hi)))))
         for ns in spans:
             yield ns, columns(ns.start, ns.stop), None
         return
     x, y = _unpair_at(fam, 0)
     length = count.bit_length()
     try:
-        ones, zeros = guide.split(list(range(length)), streams.Fuel(guide.budget))
+        ones, _ = guide.split(list(range(length)), streams.Fuel(guide.budget))
     except PairbijError:
         for w in range(length):
             _unpair_at(fam, 1 << w)
         raise
-    width = min(length, _BLOCK_BITS)
-    tx, ty = [0], [0]
-    for i in range(width):
-        if i in ones:
-            bit = 1 << ones.index(i)
+    tx, ty, cx, cy = [0], [0], 0, 0
+    for i in range(min(length, _BLOCK_BITS)):
+        if i in ones:  # position i is the next one
+            bit, cx = 1 << cx, cx + 1
             tx += [v | bit for v in tx]
             ty += ty
-        else:
-            bit = 1 << zeros.index(i)
+        else:  # or the next zero
+            bit, cy = 1 << cy, cy + 1
             tx += tx
             ty += [v | bit for v in ty]
-    cx = sum(i < width for i in ones)
-    cy = width - cx
     for ns in spans:
         if ns.start:  # unpair fails at no n up to count, as the split showed
             x, y = fam.unpair(ns.start)
@@ -335,6 +322,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except PairbijError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -247,8 +247,6 @@ class PeriodicGuide:
 
     def ones_before(self, w: int) -> int:
         """The ones among the first w guide positions."""
-        if w <= 0:
-            return 0
         return w // self._period * len(self._ones) + bisect_left(self._ones, w % self._period)
 
     def merge(self, xs: list[int], ys: list[int], fuel: streams.Fuel) -> list[int]:

@@ -290,25 +290,23 @@ def curve_walk_matches_unpair(specs: Iterable[str], budgets: Iterable[int], coun
     same error.
     """
     budgets = list(budgets)
+    # each rendering as parts: the points, or the CSV lines with their ends (same parts, same text)
+    renderings = (("", lambda f: list(cli._curve_points(f, count))),
+                  (" csv", lambda f: "".join(cli._render_csv(cli._curve_blocks(f, count)))
+                   .splitlines(keepends=True)))
     for spec in specs:
         for budget in budgets:
             fams = (charpair.family(spec, budget),
                     replace(charpair.family(spec, budget), guide=None, columns=None))
-            walked, looped = (outcome(lambda: list(cli._curve_points(f, count))) for f in fams)
-            if walked != looped:
-                if walked[0] == looped[0] == "returned":
-                    points = zip_longest(walked[1], looped[1])
-                    walked, looped = next((a, b) for a, b in points if a != b)
-                yield f"curve {spec} {count}, budget {budget}: the walk gave {walked}, unpair {looped}"
-                continue
-            walked, looped = (outcome(lambda: "".join(cli._render_csv(cli._curve_blocks(f, count))))
-                              for f in fams)
-            if walked != looped:
-                if walked[0] == looped[0] == "returned":
-                    lines = zip_longest(walked[1].splitlines(), looped[1].splitlines())
-                    walked, looped = next((a, b) for a, b in lines if a != b)
-                yield (f"curve {spec} {count} csv, budget {budget}: the walk wrote {walked!r},"
-                       f" unpair {looped!r}")
+            for form, render in renderings:
+                walked, looped = (outcome(lambda: render(f)) for f in fams)
+                if walked != looped:
+                    if walked[0] == looped[0] == "returned":
+                        parts = zip_longest(walked[1], looped[1])
+                        walked, looped = next((a, b) for a, b in parts if a != b)
+                    yield (f"curve {spec} {count}{form}, budget {budget}: the walk gave"
+                           f" {walked!r}, unpair {looped!r}")
+                    break
 
 
 @_sweep

@@ -8,24 +8,34 @@ All arithmetic is exact and unbounded -- a change in the first component scales
 the result exponentially, so results grow huge by design.
 """
 
+import sys
 from collections.abc import Iterable
 from itertools import islice
 
-from .errors import InvalidBase, ZeroArgument
+from .errors import InvalidBase, PairbijError, ZeroArgument
 
 
-def _check_base(b: int) -> None:
+def check_base(b: int) -> None:
     if b < 2:
         raise InvalidBase(f"valuation base must be >= 2, got {b}")
 
 
+def _too_large(b: int, x: int) -> PairbijError:
+    return PairbijError(f"{b}**{x} has more than sys.maxsize bits, more than any int can hold")
+
+
 def cons(b: int, x: int, y: int) -> int:
     """Pack (x, y) into a positive natural: b**x times the y-th non-multiple of b."""
-    _check_base(b)
+    check_base(b)
     if x < 0 or y < 0:
         raise ZeroArgument(f"cons is defined on naturals, got x={x}, y={y}")
     if b == 2:  # the y-th odd number, shifted: no power, no multiply
-        return (2 * y + 1) << x
+        try:
+            return (2 * y + 1) << x
+        except OverflowError:  # x past sys.maxsize
+            raise _too_large(b, x) from None
+    if x * (b.bit_length() - 1) > sys.maxsize:  # b**x would have more bits than that
+        raise _too_large(b, x)
     q = y // (b - 1)
     return b**x * (y + q + 1)
 
@@ -38,7 +48,7 @@ def decons(b: int, z: int) -> tuple[int, int]:
     the rank, so a call makes valuation + 1 divisions of z: still the
     valuation times the size of z.
     """
-    _check_base(b)
+    check_base(b)
     if z <= 0:
         raise ZeroArgument(f"decons is defined on positive naturals, got {z}")
     if b == 2:
@@ -90,7 +100,7 @@ def unpair_columns(b: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
     k. A multiple of b**(k+1) is left to the levels above, which rewrite it;
     once b**k passes the block's length, decons answers any row left.
     """
-    _check_base(b)
+    check_base(b)
     if lo < 0:
         raise ZeroArgument(f"unpair is defined on naturals, got {lo}")
     z0, size = lo + 1, max(hi - lo, 0)
@@ -119,7 +129,7 @@ def unpair_columns(b: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
 
 def nat_to_nats(b: int, n: int) -> list[int]:
     """Expand a natural into the finite list of valuations peeled off by decons."""
-    _check_base(b)
+    check_base(b)
     if n < 0:
         raise ZeroArgument(f"nat_to_nats is defined on naturals, got {n}")
     out = []
@@ -134,13 +144,16 @@ def nats_to_nat(b: int, xs: Iterable[int]) -> int:
 
     For b = 2 the fold inlines cons as one shift per element.
     """
-    _check_base(b)
+    check_base(b)
     n = 0
     if b == 2:
-        for x in reversed(list(xs)):
-            if x < 0:
-                raise ZeroArgument(f"cons is defined on naturals, got x={x}, y={n}")
-            n = (2 * n + 1) << x
+        try:
+            for x in reversed(list(xs)):
+                if x < 0:
+                    raise ZeroArgument(f"cons is defined on naturals, got x={x}, y={n}")
+                n = (2 * n + 1) << x
+        except OverflowError:  # x past sys.maxsize
+            raise _too_large(b, x) from None
         return n
     for x in reversed(list(xs)):
         n = cons(b, x, n)

@@ -254,6 +254,22 @@ def test_numbers_past_the_digit_limit_exit_2(capsys, argv, first):
     assert err.splitlines()[0] == first
 
 
+@pytest.mark.parametrize("argv, b", [
+    (["pair", "nadic:2", "99999999999999999999", "0"], 2),
+    (["pair", "nadic:3", "99999999999999999999", "0"], 3),
+    (["encode", "--from", "list", "--to", "nat", "[99999999999999999999]"], 2),
+], ids=["pair-2", "pair-3", "encode"])
+def test_results_past_any_int_exit_2(capsys, argv, b):
+    assert run(capsys, *argv) == (2, "", f"error: {b}**99999999999999999999 has more than"
+                                         " sys.maxsize bits, more than any int can hold\n")
+
+
+def test_out_of_memory_exits_2(capsys):
+    # as `curve morton 100000000000 csv` or `pair nadic:2 10000000000 0` ends under ulimit -v
+    with mock.patch.object(cli, "parse_family", side_effect=MemoryError):
+        assert run(capsys, "pair", "morton", "1", "2") == (2, "", "error: out of memory\n")
+
+
 def test_usage_error_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairbij import nadic, streams
-from pairbij.errors import InvalidBase, ZeroArgument
+from pairbij.errors import InvalidBase, PairbijError, ZeroArgument
 from pairbij.invariants import decons_by_division
 
 
@@ -231,6 +231,20 @@ def test_negative_arguments_raise(fn):
     # unchecked, these give floats (-0.5, 0.222...) or negatives (-8): not exact naturals
     with pytest.raises(ZeroArgument, match="defined on naturals"):
         fn()
+
+
+@pytest.mark.parametrize("fn, power", [
+    (lambda: nadic.pair(2, 10**20, 0), f"2**{10**20}"),
+    (lambda: nadic.pair(3, 10**20, 0), f"3**{10**20}"),
+    (lambda: nadic.pair(2**64, 2**58, 0), f"{2**64}**{2**58}"),
+    (lambda: nadic.nats_to_nat(2, [10**20]), f"2**{10**20}"),
+    (lambda: nadic.nats_to_nat_mixed(streams.arith(2, 1), [10**20]), f"2**{10**20}"),
+], ids=["pair-2", "pair-3", "pair-2**64", "fold-2", "fold-mixed"])
+def test_results_past_any_int_raise(fn, power):
+    # refused, not built: at 3**10**20 the power would run on for ever
+    with pytest.raises(PairbijError) as info:
+        fn()
+    assert str(info.value) == f"{power} has more than sys.maxsize bits, more than any int can hold"
 
 
 @pytest.mark.parametrize("fn, message", [
