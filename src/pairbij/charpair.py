@@ -26,6 +26,14 @@ PeriodicGuide; family_from_seed picks the one a family keeps.
     whole runs of equal bits. They have a module of their own: compiled
     inside this one, without a bytecode cache, the prefix raised the peak
     memory of importing charpair by about 0.5 MB.
+  - A family's source may also hold guide.LaneTables, built after the
+    family's second call: generic_pair and generic_unpair answer a call
+    whose inputs they cover by OR-ing table entries, a 4-bit lane of the
+    input at a time, and charge it the positions the source would read,
+    so it gives the source's answer, error and fuel left without building
+    a bit form. The benchmark's traced pass reads those positions from the
+    fuel handed to generic_pair and generic_unpair, which is why the tables
+    sit behind them and not in the family's closures.
   - Every reader but the lazy bmerge, which meters each bit it reads,
     charges by one rule what metering each pull would charge. SeedSpec's
     merge and split and a GuidePrefix read their guide unmetered, to at most
@@ -55,7 +63,19 @@ from .errors import (
     UnknownPreset,
     ZeroArgument,
 )
-from .guide import UNDELIMITED, UNPLACED, GuidePrefix, PeriodicGuide, exhausted, periodic_pattern
+from .guide import (
+    CAP,
+    UNDELIMITED,
+    UNPLACED,
+    GuidePrefix,
+    PeriodicGuide,
+    exhausted,
+    lane_tables,
+    periodic_pattern,
+)
+
+# A family's lane tables answer unpair(n) for n below this.
+_TABLE_SPAN = 1 << CAP
 
 
 def _nat_to_bits(n: int) -> list[int]:
@@ -178,6 +198,7 @@ class SeedSpec:
     payload: object
     label: str
     budget: ClassVar[int] = streams.DEFAULT_FUEL
+    tables: ClassVar[None] = None  # only a family's guide source holds lane tables
 
     def bits(self, fuel: streams.Fuel) -> Iterator[int]:
         """Instantiate the guide as a fuel-metered bit iterator."""
@@ -265,14 +286,19 @@ def generic_pair(seed: SeedSpec | GuidePrefix | PeriodicGuide, x: int, y: int,
 
     The seed's merge places the bits: a SeedSpec reads its guide from
     position 0, a GuidePrefix slices its runs and a PeriodicGuide its
-    pattern positions, with the same results and errors. Without fuel, the
-    call gets the seed's budget. Raises FuelExhausted if the seed starves one
-    side (no finite blocks), GuideExhausted if a finite seed runs out.
+    pattern positions, with the same results and errors. When the source
+    holds lane tables that cover x and y, they answer instead, charged the
+    same positions. Without fuel, the call gets the seed's budget. Raises
+    FuelExhausted if the seed starves one side (no finite blocks),
+    GuideExhausted if a finite seed runs out, and ZeroArgument if x or y is
+    not a natural.
     """
-    if x < 0 or y < 0:
-        raise ZeroArgument(f"pair is defined on naturals, got x={x}, y={y}")
+    x, y = nadic.naturals("pair", x, y)
     if fuel is None:
         fuel = streams.Fuel(seed.budget, label=f"seed {seed.label}")
+    tables = seed.tables
+    if tables and x < tables.limit and y < tables.limit:
+        return tables.pair(x, y, fuel)
     return _bits_to_nat(seed.merge(_nat_to_bits(x), _nat_to_bits(y), fuel))
 
 
@@ -286,12 +312,15 @@ def generic_unpair(seed: SeedSpec | GuidePrefix | PeriodicGuide, n: int,
     guide must keep offering both ones and zeros, and a seed that never again
     yields one of them diverges (caught by fuel) exactly like the merge
     direction does. The seed's split routes the bits, from either source
-    alike, and without fuel the call gets the seed's budget.
+    alike, or the source's lane tables answer when they cover n, charged
+    the same positions; without fuel the call gets the seed's budget.
     """
-    if n < 0:
-        raise ZeroArgument(f"unpair is defined on naturals, got {n}")
+    n = nadic.natural("unpair", n)
     if fuel is None:
         fuel = streams.Fuel(seed.budget, label=f"seed {seed.label}")
+    tables = seed.tables
+    if tables and n < _TABLE_SPAN:
+        return tables.unpair(n, fuel)
     ones, zeros = seed.split(_nat_to_bits(n), fuel)
     return _bits_to_nat(ones), _bits_to_nat(zeros)
 
@@ -326,6 +355,12 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
     calls share: a PeriodicGuide when the seed's guide repeats a pattern
     holding both a 0 and a 1, else a GuidePrefix, so that the guide is read
     once per family.
+
+    Once the family's second call has returned or raised, so that the call
+    is answered the way it always was, the family builds the source's
+    guide.LaneTables, unless the budget or the guide allows none, and never
+    tries again; generic_pair and generic_unpair answer from them from then
+    on where they can. A family called once builds nothing.
     """
     if fuel_budget <= 0:  # else every call would fail on it
         raise PairbijError(f"fuel budget must be positive, got {fuel_budget}")
@@ -335,12 +370,28 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
     else:
         guide = GuidePrefix(seed, fuel_budget)
     label = f"seed {seed.label}"
+    called = built = False
+
+    def warm() -> None:
+        nonlocal called, built
+        if called:  # threads may race to build; each sets the tables in one assignment
+            guide.tables = lane_tables(guide, fuel_budget)
+            built = True
+        called = True
 
     def pair(x: int, y: int) -> int:
-        return generic_pair(guide, x, y, streams.Fuel(fuel_budget, label=label))
+        try:
+            return generic_pair(guide, x, y, streams.Fuel(fuel_budget, label=label))
+        finally:
+            if not built:
+                warm()
 
     def unpair(n: int) -> tuple[int, int]:
-        return generic_unpair(guide, n, streams.Fuel(fuel_budget, label=label))
+        try:
+            return generic_unpair(guide, n, streams.Fuel(fuel_budget, label=label))
+        finally:
+            if not built:
+                warm()
 
     return PairingFamily(seed.label, pair, unpair, guide=guide)
 
@@ -466,15 +517,13 @@ def seed_from_file(path: str | Path, encoder_name: str = "bins") -> SeedSpec:
 
 def cantor_pair(x: int, y: int) -> int:
     """The classic diagonal pairing (x+y)(x+y+1)/2 + y; used as a test oracle."""
-    if x < 0 or y < 0:
-        raise ZeroArgument(f"cantor_pair is defined on naturals, got x={x}, y={y}")
+    x, y = nadic.naturals("cantor_pair", x, y)
     return (x + y) * (x + y + 1) // 2 + y
 
 
 def cantor_unpair(n: int) -> tuple[int, int]:
     """Inverse of cantor_pair via the integer triangular root."""
-    if n < 0:
-        raise ZeroArgument(f"cantor_unpair is defined on naturals, got {n}")
+    n = nadic.natural("cantor_unpair", n)
     w = (isqrt(8 * n + 1) - 1) // 2
     y = n - w * (w + 1) // 2
     return w - y, y
@@ -509,9 +558,8 @@ def twist_family(f: PairingFamily, mask: int) -> PairingFamily:
         raise ZeroArgument(f"xor mask must be non-negative, got {mask}")
 
     def unpair(n: int) -> tuple[int, int]:
-        if n < 0:  # before the XOR, so that the message names the caller's n
-            raise ZeroArgument(f"unpair is defined on naturals, got {n}")
-        return f.unpair(n ^ mask)
+        # before the XOR, so that the message names the caller's n
+        return f.unpair(nadic.natural("unpair", n) ^ mask)
 
     return PairingFamily(
         f"{f.name},xor:{mask}",

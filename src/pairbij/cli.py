@@ -13,6 +13,7 @@ from itertools import chain, islice
 
 from . import charpair, encoders, nadic, streams
 from .errors import FuelExhausted, PairbijError
+from .guide import extract_targets, lane_table
 
 FUEL_ENV = "PAIRBIJ_FUEL"
 
@@ -125,9 +126,11 @@ def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
 
     One split of the positions 0..L-1, L = count.bit_length(), gives the
     tables: it routes position i to the ones or to the zeros as unpair
-    routes bit i. It also reads the guide and spends the fuel of an unpair
-    whose n ^ mask has L bits, and the n <= count whose n ^ mask is longest
-    is 0 or 2**(L-1). So once unpair(0) has run, the split fails exactly
+    routes bit i, and guide.lane_table doubles each table from the bits of
+    x and y those positions set, as for a family's lane tables. The split
+    also reads the guide and spends the fuel of an unpair whose n ^ mask
+    has L bits, and the n <= count whose n ^ mask is longest is 0 or
+    2**(L-1). So once unpair(0) has run, the split fails exactly
     when unpair fails at some n <= count; then unpair runs at each power of
     two below 2**L, so that the error names the first n where it fails.
     """
@@ -143,25 +146,18 @@ def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
     x, y = _unpair_at(fam, 0)
     length = count.bit_length()
     try:
-        ones, _ = guide.split(list(range(length)), streams.Fuel(guide.budget))
+        split = guide.split(list(range(length)), streams.Fuel(guide.budget))
     except PairbijError:
         for w in range(length):
             _unpair_at(fam, 1 << w)
         raise
-    tx, ty, cx, cy = [0], [0], 0, 0
-    for i in range(min(length, _BLOCK_BITS)):
-        if i in ones:  # position i is the next one
-            bit, cx = 1 << cx, cx + 1
-            tx += [v | bit for v in tx]
-            ty += ty
-        else:  # or the next zero
-            bit, cy = 1 << cy, cy + 1
-            tx += tx
-            ty += [v | bit for v in ty]
+    tx, ty = (lane_table(t[:_BLOCK_BITS]) for t in extract_targets(*split))
+    # The last entry of a table, X or Y of all its bits, is the largest it holds.
+    vx, vy = range(tx[-1] + 1), range(ty[-1] + 1)
     for ns in spans:
         if ns.start:  # unpair fails at no n up to count, as the split showed
             x, y = fam.unpair(ns.start)
-        yield ns, ([x ^ v for v in range(1 << cx)], [y ^ v for v in range(1 << cy)]), (tx, ty)
+        yield ns, ([x ^ v for v in vx], [y ^ v for v in vy]), (tx, ty)
 
 
 def _curve_points(fam: charpair.PairingFamily, count: int) -> Iterator[tuple[int, int, int]]:

@@ -9,6 +9,11 @@ charpair.generic_pair and generic_unpair call all three alike:
     bits from position 0 (periodic_pattern finds it from the seed's encoder
     and payload), and routes bits with one extended slice per pattern
     position, reading no guide at all.
+Either fast source may hold LaneTables in `tables`, which its family sets
+after its second call (see lane_tables): generic_pair and generic_unpair
+then answer pair(x, y) for x, y < 2**W and unpair(n) for n < 2**CAP from
+them, with no bit form, charged the positions the source would read; the
+source answers the rest, and stays the oracle the tables are tested against.
 """
 
 import copy
@@ -16,6 +21,7 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import islice
+from operator import getitem
 
 from . import encoders, streams
 from .errors import GuideExhausted
@@ -56,13 +62,14 @@ class GuidePrefix:
     that reaches it raises again. Calls may come from several threads.
     """
 
-    __slots__ = ("seed", "label", "budget", "_lock", "_bits",
+    __slots__ = ("seed", "label", "budget", "tables", "_lock", "_bits",
                  "_starts", "_ones", "_zeros", "_state")
 
     def __init__(self, seed, fuel_budget: int = streams.DEFAULT_FUEL):
         self.seed = seed
         self.label = seed.label
         self.budget = fuel_budget
+        self.tables = None  # LaneTables, set by the family that owns the prefix
         self._lock = threading.Lock()
         self._bits = None
         self._starts, self._ones, self._zeros = array("q", [0]), array("q", [0]), array("q", [0])
@@ -215,11 +222,12 @@ class PeriodicGuide:
     each call is charged them through fuel.spend, so it gives the loop's
     answers and errors and leaves the same fuel. The pattern must hold a 0
     and a 1: a guide that starves a side keeps the GuidePrefix, whose
-    refusal reads to the budget as the loop does. Nothing changes after
-    construction, so calls may come from several threads.
+    refusal reads to the budget as the loop does. Nothing but `tables`,
+    set once, changes after construction, so calls may come from several
+    threads.
     """
 
-    __slots__ = ("seed", "label", "budget", "_period", "_ones", "_gaps")
+    __slots__ = ("seed", "label", "budget", "tables", "_period", "_ones", "_gaps")
 
     def __init__(self, seed, period: int, ones: tuple[int, ...],
                  fuel_budget: int = streams.DEFAULT_FUEL):
@@ -229,6 +237,7 @@ class PeriodicGuide:
         self.seed = seed
         self.label = seed.label
         self.budget = fuel_budget
+        self.tables = None  # LaneTables, set by the family that owns the guide
         self._period = period
         self._ones = ones
         # The q-th zero of the pattern sits past the ones whose gap r - t is at most q.
@@ -285,3 +294,127 @@ class PeriodicGuide:
         for q in range(min(c0, length - n1)):
             b[q::c0] = payload[self._zero(q)::p]
         return a, b
+
+
+# The positions a family's lane tables cover: they answer unpair(n) for n < 2**CAP.
+CAP = 256
+# The bits of an input a lane covers; lane k of n is its k-th hex digit.
+LANE_BITS = 4
+_HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def lane_table(targets: list[int]) -> list[int]:
+    """Entry d is the OR of targets[i] over the set bits i of d: 2**len(targets) entries.
+
+    The table doubles from [0], a target at a time; a zero target doubles it
+    by repeating it, which shares its entries instead of building new ones.
+    """
+    table = [0]
+    for t in targets:
+        table += [v | t for v in table] if t else table
+    return table
+
+
+def extract_targets(ones: list[int], zeros: list[int]) -> tuple[list[int], list[int]]:
+    """The bit of x and the bit of y that each position 0..L-1 sets in unpair,
+    given the positions a split of range(L) routes to the guide's ones and to
+    its zeros: the j-th one sets bit j of x, the j-th zero bit j of y."""
+    xt = [0] * (len(ones) + len(zeros))
+    yt = xt.copy()
+    for j, p in enumerate(ones):
+        xt[p] = 1 << j
+    for j, p in enumerate(zeros):
+        yt[p] = 1 << j
+    return xt, yt
+
+
+def _lanes(targets: list[int]) -> list[list[int]]:
+    return [lane_table(targets[i:i + LANE_BITS]) for i in range(0, len(targets), LANE_BITS)]
+
+
+class LaneTables:
+    """A guide source's pair(x, y) for x, y < limit = 2**W and unpair(n) for n < 2**CAP, by table.
+
+    pair places the bits of x on the guide's ones and those of y on its
+    zeros, and padding zeros add nothing, so pair deposits each bit on a
+    fixed position and unpair extracts it back: both are ORs, over the
+    inputs' 4-bit lanes, of what each lane deposits or extracts. Lane k of
+    a table holds that for each of the 16 values of lane k; an input is cut
+    into lanes by its hex digits. This is the table method of Morton codes
+    (Anderson, "Bit Twiddling Hacks": interleave bits by table lookup) for
+    any guide. W counts the ones and the zeros below CAP, whichever are
+    fewer. The entries of a table have disjoint bits, so their OR is their
+    sum.
+
+    Each call is charged the positions the source's merge or split would
+    read, kept per bit length, after the source's check of the fuel, so it
+    fails as the source does, with the same error, and leaves the same
+    fuel. Nothing changes after construction.
+    """
+
+    __slots__ = ("limit", "_source", "_px", "_py", "_ux", "_uy", "_x_reads", "_y_reads", "_reads")
+
+    def __init__(self, source, ones: list[int], zeros: list[int], reads: list[int]):
+        w = min(len(ones), len(zeros))
+        self.limit = 1 << w
+        self._source = source
+        self._px = _lanes([1 << p for p in ones[:w]])
+        self._py = _lanes([1 << p for p in zeros[:w]])
+        self._ux, self._uy = map(_lanes, extract_targets(ones, zeros))
+        # merge reads on to the later of x's last one and y's last zero; the
+        # bit form of 0 is [0], one bit long, as is that of 1
+        self._x_reads = [ones[max(k, 1) - 1] + 1 for k in range(w + 1)]
+        self._y_reads = [zeros[max(k, 1) - 1] + 1 for k in range(w + 1)]
+        self._reads = reads  # reads[k]: the positions split reads for a payload of k bits
+
+    def pair(self, x: int, y: int, fuel: streams.Fuel) -> int:
+        """generic_pair(source, x, y, fuel) for ints 0 <= x, y < limit."""
+        _check_fuel(self._source, fuel)
+        fuel.spend(max(self._x_reads[x.bit_length()], self._y_reads[y.bit_length()]))
+        return (sum(map(getitem, self._px, ("%x" % x)[::-1].encode().translate(_HEX_DIGITS)))
+                + sum(map(getitem, self._py, ("%x" % y)[::-1].encode().translate(_HEX_DIGITS))))
+
+    def unpair(self, n: int, fuel: streams.Fuel) -> tuple[int, int]:
+        """generic_unpair(source, n, fuel) for ints 0 <= n < 2**CAP."""
+        _check_fuel(self._source, fuel)
+        fuel.spend(self._reads[n.bit_length()])
+        lanes = ("%x" % n)[::-1].encode().translate(_HEX_DIGITS)
+        return sum(map(getitem, self._ux, lanes)), sum(map(getitem, self._uy, lanes))
+
+
+def _split_reads(source, length: int, budget: int) -> tuple[tuple[list, list], int]:
+    """A split of range(length), and the positions it read."""
+    fuel = streams.Fuel(budget)
+    return source.split(list(range(length)), fuel), budget - fuel.remaining
+
+
+def lane_tables(source, budget: int) -> LaneTables | None:
+    """The LaneTables of a guide source for calls with fuel of this budget, or None.
+
+    They come from a split of the positions below CAP, with fresh fuel of
+    the budget. If it returns, no call of the source below the tables'
+    limits can fail for want of fuel or guide: each reads no further than
+    that split. If it raises anything, or the guide has no one or no zero
+    below CAP, there are none, and the error is left to the calls that
+    reach it.
+
+    A split of a payload of L bits reads on to the first position past L
+    whose bit differs from position L's. Below CAP the split's bits give
+    that, except in the last run below CAP, whose splits read what a split
+    of CAP - 1 positions reads, and at CAP itself.
+    """
+    try:
+        (ones, zeros), last = _split_reads(source, CAP, budget)
+        if not (ones and zeros):
+            return None
+        reads = [0] * CAP + [last]
+        _, reads[CAP - 1] = _split_reads(source, CAP - 1, budget)
+    except Exception:  # a call that reaches the failure raises it, as without tables
+        return None
+    bits = bytearray(CAP)
+    for p in ones:
+        bits[p] = 1
+    for k in range(CAP - 2, 0, -1):
+        reads[k] = reads[k + 1] if bits[k] == bits[k + 1] else k + 2
+    reads[0] = reads[1]  # the bit form of 0 is [0]
+    return LaneTables(source, ones, zeros, reads)

@@ -254,23 +254,27 @@ def _metered(op: Callable, source, args: tuple, budget: int, label: str) -> tupl
 @_sweep
 def prefix_matches_loop(seeds: Iterable[charpair.SeedSpec], budgets: Iterable[int],
                         n_upto: int, grid: int):
-    """generic_pair and generic_unpair answer from a family's guide source as from its plain seed.
+    """generic_pair and generic_unpair answer from a family's guide source as from its plain seed,
+    and so do the family's own pair and unpair, lane tables and all.
 
-    Each seed and budget is served by a GuidePrefix and, when
-    family_from_seed picks another source (a PeriodicGuide for a seed that
-    repeats a pattern holding both bits), by that one too; each source
-    serves every call, as in a family, and each call gets fresh fuel of that
-    budget. Results, errors (type, message and fields) and the fuel left
-    must agree with the loop's.
+    Each seed and budget is served by a fresh GuidePrefix and by the source
+    family_from_seed picks (a PeriodicGuide for a seed that repeats a
+    pattern holding both bits, else a second GuidePrefix), which holds the
+    family's lane tables once they are built; each source serves every
+    call, as in a family, and each call gets fresh fuel of that budget.
+    Results, errors (type, message and fields) and the fuel left must agree
+    with the loop's. The family makes each call twice, so that its second
+    call builds its lane tables and the later calls may be served by them;
+    each result or error must agree with the loop's.
     """
     cases = [(charpair.generic_unpair, (n,)) for n in range(n_upto + 1)]
     cases += [(charpair.generic_pair, (x, y)) for x in range(grid) for y in range(grid)]
     budgets = list(budgets)
     for seed in seeds:
         for budget in budgets:
-            picked = charpair.family_from_seed(seed, budget).guide
-            sources = [guide.GuidePrefix(seed, budget)]
-            sources += [] if isinstance(picked, guide.GuidePrefix) else [picked]
+            fam = charpair.family_from_seed(seed, budget)
+            sources = [guide.GuidePrefix(seed, budget), fam.guide]
+            calls = {charpair.generic_pair: fam.pair, charpair.generic_unpair: fam.unpair}
             for op, args in cases:
                 want = _metered(op, seed, args, budget, seed.label)
                 for source in sources:
@@ -278,6 +282,12 @@ def prefix_matches_loop(seeds: Iterable[charpair.SeedSpec], budgets: Iterable[in
                     if got != want:
                         yield (f"{seed.label}, budget {budget}: {op.__name__}{args} gave {got}"
                                f" from a {type(source).__name__}, the loop {want}")
+                call = calls[op]
+                for _ in range(2):
+                    got = outcome(lambda: call(*args))
+                    if got != want[0]:
+                        yield (f"{seed.label}, budget {budget}: the family's {call.__name__}{args}"
+                               f" gave {got}, the loop {want[0]}")
 
 
 @_sweep

@@ -11,6 +11,7 @@ the result exponentially, so results grow huge by design.
 import sys
 from collections.abc import Iterable
 from itertools import islice
+from operator import index
 
 from .errors import InvalidBase, PairbijError, ZeroArgument
 
@@ -18,6 +19,32 @@ from .errors import InvalidBase, PairbijError, ZeroArgument
 def check_base(b: int) -> None:
     if b < 2:
         raise InvalidBase(f"valuation base must be >= 2, got {b}")
+
+
+def natural(op: str, n) -> int:
+    """n as an int, through operator.index, for a call of op defined on naturals.
+
+    An n that is not an integer (a float, say) or is negative raises
+    ZeroArgument naming op and n; a bool is 0 or 1.
+    """
+    try:
+        i = index(n)
+    except TypeError:
+        i = -1
+    if i < 0:
+        raise ZeroArgument(f"{op} is defined on naturals, got {n!r}")
+    return i
+
+
+def naturals(op: str, x, y) -> tuple[int, int]:
+    """x and y as ints, as natural gives them, naming both when either is refused."""
+    try:
+        i, j = index(x), index(y)
+    except TypeError:
+        i = j = -1
+    if i < 0 or j < 0:
+        raise ZeroArgument(f"{op} is defined on naturals, got x={x!r}, y={y!r}")
+    return i, j
 
 
 def _too_large(b: int, x: int) -> PairbijError:
@@ -79,13 +106,15 @@ def tail(b: int, z: int) -> int:
 
 def pair(b: int, x: int, y: int) -> int:
     """The pairing bijection N x N -> N for base b."""
+    if type(x) is not int or type(y) is not int:  # cons refuses a negative int itself
+        x, y = naturals("pair", x, y)
     return cons(b, x, y) - 1
 
 
 def unpair(b: int, n: int) -> tuple[int, int]:
     """Inverse of pair."""
-    if n < 0:
-        raise ZeroArgument(f"unpair is defined on naturals, got {n}")
+    if type(n) is not int or n < 0:
+        n = natural("unpair", n)
     return decons(b, n + 1)
 
 

@@ -52,7 +52,10 @@ class Fuel:
     def spend(self, read: int) -> None:
         """Tick the `read` positions a reader read, or, if fewer, one past what
         the fuel has left: the pull that metering each pull would refuse."""
-        self.tick(min(read, max(self.remaining, 0) + 1))
+        if 0 <= read <= self.remaining:  # what tick does when it cannot fail
+            self.remaining -= read
+        else:
+            self.tick(min(read, max(self.remaining, 0) + 1))
 
     def meter(self, xs: Iterable[int]) -> Iterator[int]:
         """Yield from xs, spending one unit of fuel per element."""

@@ -537,6 +537,36 @@ def test_guide_family_negative_names_the_call(spec, call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: charpair.family("morton").pair(2.0, 1),
+     "pair is defined on naturals, got x=2.0, y=1"),
+    (lambda: charpair.family("squares").pair(1, 0.5),
+     "pair is defined on naturals, got x=1, y=0.5"),
+    (lambda: charpair.family("morton").unpair(5.0), "unpair is defined on naturals, got 5.0"),
+    (lambda: charpair.family("squares,xor:3").unpair(5.0),
+     "unpair is defined on naturals, got 5.0"),
+    (lambda: charpair.family("cantor,xor:3").unpair("7"),
+     "unpair is defined on naturals, got '7'"),
+    (lambda: charpair.generic_unpair(charpair.preset_seed("morton"), None),
+     "unpair is defined on naturals, got None"),
+    (lambda: charpair.cantor_pair(1.5, 2), "cantor_pair is defined on naturals, got x=1.5, y=2"),
+    (lambda: charpair.cantor_unpair(8.0), "cantor_unpair is defined on naturals, got 8.0"),
+])
+def test_non_integers_are_refused(call, message):
+    # unchecked, cantor_pair(1.5, 2) returned 9.0 and a guide family's calls raised a bare TypeError
+    with pytest.raises(ZeroArgument) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("spec", ["morton", "squares,xor:5", "cantor"])
+def test_a_bool_pairs_as_an_int(spec):
+    fam = charpair.family(spec)
+    for _ in range(3):  # the third call of a guide family may be served by its lane tables
+        assert fam.pair(True, False) == fam.pair(1, 0)
+        assert fam.unpair(True) == fam.unpair(1)
+
+
 @pytest.mark.parametrize("spec", ["squares,xor:9", "nadic:3,xor:9", "cantor,xor:9"])
 def test_twisted_negative_names_the_callers_n(spec):
     # unchecked, the mask reaches the base family first and it names -1 ^ 9 = -10
@@ -1081,6 +1111,26 @@ def test_shared_family_across_threads():
     _race(work)
     serial_fam = charpair.family("squares")
     assert results == [[_race_call(serial_fam, f, k) for f, k in RACE_CALLS]] * 4
+
+
+def test_cold_family_builds_lane_tables_across_threads():
+    # After one call, the threads make the family's second call at once, so
+    # they race to build its lane tables; the inputs lie on both sides of their
+    # limits, 2**113 for pair and 2**256 for unpair.
+    fam = charpair.family("bits-of-naturals")
+    calls = [("pair", 2**k + k, k * k) for k in range(0, 130, 7)]
+    calls += [("unpair", 3**k + k) for k in range(0, 170, 9)]
+    fam.unpair(1)
+    ready = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(i):
+        ready.wait()
+        results[i] = [getattr(fam, f)(*args) for f, *args in calls]
+
+    _race(work)
+    serial_fam = charpair.family("bits-of-naturals")
+    assert results == [[getattr(serial_fam, f)(*args) for f, *args in calls]] * 4
 
 
 def test_starving_family_across_threads():

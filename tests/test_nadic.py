@@ -339,6 +339,24 @@ def test_base2_negative_element_message(call, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: nadic.pair(3, 2.0, 1), "pair is defined on naturals, got x=2.0, y=1"),
+    (lambda: nadic.pair(2, 1, "3"), "pair is defined on naturals, got x=1, y='3'"),
+    (lambda: nadic.unpair(3, 5.0), "unpair is defined on naturals, got 5.0"),
+    (lambda: nadic.unpair(2, None), "unpair is defined on naturals, got None"),
+], ids=["pair-float", "pair-str", "unpair-float", "unpair-none"])
+def test_pairing_refuses_a_non_integer(call, message):
+    # unchecked, pair(3, 2.0, 1) returned 17.0 and unpair(3, 5.0) gave (1, 1.0)
+    with pytest.raises(ZeroArgument) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_pairing_takes_a_bool_as_an_int():
+    assert nadic.pair(3, True, 1) == nadic.pair(3, 1, 1)
+    assert nadic.unpair(3, True) == nadic.unpair(3, 1)
+
+
 def test_base2_fold_refuses_a_float():
     with pytest.raises(TypeError):
         nadic.nats_to_nat(2, [2.0])

@@ -131,6 +131,8 @@ def test_fuel_read_limit_and_spend():
     assert fuel.read_limit() == 11  # what the fuel pays for, and the pull past it
     fuel.spend(4)
     assert (fuel.remaining, fuel.read_limit()) == (6, 7)
+    with pytest.raises(ValueError):
+        fuel.spend(-1)  # no refund, also where the positions fit the fuel
     fuel.spend(6)
     assert (fuel.remaining, fuel.read_limit()) == (0, 1)
     with pytest.raises(FuelExhausted):
