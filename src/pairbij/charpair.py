@@ -9,40 +9,32 @@ diverge, which fuel turns into a FuelExhausted error instead of a hang.
 
 Guides are routed in three places: bmerge, bsplit (through _route and
 _side, which serve it alone) and the loops of SeedSpec's merge and split.
-generic_pair and generic_unpair call any of three guide sources alike: a
-SeedSpec, or one of the fast paths in guide, a GuidePrefix or a
-PeriodicGuide; family_from_seed picks the one a family keeps.
+generic_pair and generic_unpair call a SeedSpec and a family's guide
+source, a guide.GuidePrefix (a PeriodicGuide when the guide repeats),
+alike; family_from_seed picks the source.
   - bmerge's singleton endings emit the last element without consulting the
     guide, and its golden values depend on that; generic_pair's padding must
     respect positions past the end of one side, and generic_unpair delimits
     each side past the payload, so SeedSpec's merge and split keep loops of
-    their own.
-  - SeedSpec's merge and split read the guide from position 0 on every
-    call. They are the reference that the fast paths are tested against,
-    and they serve direct callers. A family whose seed repeats a pattern
-    holding both bits keeps a PeriodicGuide, which places each call's bits
-    with an extended slice per pattern position; any other family reads its
-    guide once into a GuidePrefix, which routes each call's bits by slicing
-    whole runs of equal bits. They have a module of their own: compiled
-    inside this one, without a bytecode cache, the prefix raised the peak
-    memory of importing charpair by about 0.5 MB.
+    their own. They read the guide from position 0 on every call, serve
+    direct callers, and are the reference the fast paths are tested
+    against. The prefix has a module of its own: compiled inside this one,
+    without a bytecode cache, it raised the peak memory of importing
+    charpair by about 0.5 MB.
   - A family's source may also hold guide.LaneTables, built after the
-    family's second call: generic_pair and generic_unpair answer a call
-    whose inputs they cover by OR-ing table entries, a 4-bit lane of the
-    input at a time, and charge it the positions the source would read,
-    so it gives the source's answer, error and fuel left without building
-    a bit form. The benchmark's traced pass reads those positions from the
-    fuel handed to generic_pair and generic_unpair, which is why the tables
-    sit behind them and not in the family's closures.
+    family's second call, which answer the calls they cover charged the
+    positions the source would read. The benchmark's traced pass reads
+    those positions from the fuel handed to generic_pair and
+    generic_unpair, which is why the tables sit behind them and not in the
+    family's closures.
   - Every reader but the lazy bmerge, which meters each bit it reads,
-    charges by one rule what metering each pull would charge. SeedSpec's
-    merge and split and a GuidePrefix read their guide unmetered, to at most
-    fuel.read_limit() positions, and charge them once, through fuel.spend,
-    as they leave: a guide cut at that limit is told from one that ended by
-    the count, since spend refuses the pull past the fuel. A refusal reads
-    the whole budget, and the refusal cells of the sparse-wide benchmark
-    workload time these loops. A PeriodicGuide charges the positions the
-    loop would read, in closed form, through fuel.spend.
+    charges by one rule what metering each pull would charge: SeedSpec's
+    merge and split and a GuidePrefix read their guide unmetered, to at
+    most fuel.read_limit() positions, and charge them once, through
+    fuel.spend, as they leave. A guide cut at that limit is told from one
+    that ended by the count, since spend refuses the pull past the fuel. A
+    refusal reads the whole budget, and the refusal cells of the
+    sparse-wide benchmark workload time these loops.
 """
 
 import sys
@@ -273,7 +265,7 @@ class SeedSpec:
 
 # -- the generic construction ------------------------------------------------------
 
-def generic_pair(seed: SeedSpec | GuidePrefix | PeriodicGuide, x: int, y: int,
+def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
                  fuel: streams.Fuel | None = None) -> int:
     """Pair (x, y) under the seed's characteristic function.
 
@@ -302,7 +294,7 @@ def generic_pair(seed: SeedSpec | GuidePrefix | PeriodicGuide, x: int, y: int,
     return _bits_to_nat(seed.merge(_nat_to_bits(x), _nat_to_bits(y), fuel))
 
 
-def generic_unpair(seed: SeedSpec | GuidePrefix | PeriodicGuide, n: int,
+def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
                    fuel: streams.Fuel | None = None) -> tuple[int, int]:
     """Split n under the seed's characteristic function; inverse of generic_pair.
 
@@ -344,7 +336,7 @@ class PairingFamily:
     name: str
     pair: Callable[[int, int], int]
     unpair: Callable[[int], tuple[int, int]]
-    guide: GuidePrefix | PeriodicGuide | None = None
+    guide: GuidePrefix | None = None
     columns: Callable[[int, int], tuple[list[int], list[int]]] | None = None
 
 
@@ -362,13 +354,12 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
     tries again; generic_pair and generic_unpair answer from them from then
     on where they can. A family called once builds nothing.
     """
+    fuel_budget = nadic.integer("fuel budget", fuel_budget)
     if fuel_budget <= 0:  # else every call would fail on it
         raise PairbijError(f"fuel budget must be positive, got {fuel_budget}")
     pattern = periodic_pattern(seed)
-    if pattern:
-        guide = PeriodicGuide(seed, *pattern, fuel_budget)
-    else:
-        guide = GuidePrefix(seed, fuel_budget)
+    guide = (PeriodicGuide(seed, *pattern, fuel_budget) if pattern
+             else GuidePrefix(seed, fuel_budget))
     label = f"seed {seed.label}"
     called = built = False
 
@@ -398,13 +389,14 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
 
 def syracuse(n: int) -> int:
     """The 2-adic tail of 6n + 4; iterating it to 0 restates the Collatz problem."""
-    if n < 0:  # before 6n + 4, so that the message names the caller's n
-        raise ZeroArgument(f"syracuse is defined on naturals, got {n}")
+    if type(n) is not int or n < 0:  # before 6n + 4, so that the message names the caller's n
+        n = nadic.natural("syracuse", n)
     return nadic.tail(2, 6 * n + 4)
 
 
 def nsyr(n: int, fuel: streams.Fuel | None = None) -> list[int]:
     """The syracuse trajectory from n down to and including 0, fuel-guarded."""
+    n = nadic.natural("syracuse", n)
     if fuel is None:
         fuel = streams.Fuel(label=f"syracuse trajectory of {n}")
     out = [n]
@@ -424,9 +416,10 @@ def _nat_bits_stream() -> streams.Stream:
 def preset_seed(name: str, k: int | None = None) -> SeedSpec:
     """The named seed specs shipped with the package; only arith-set takes a step k."""
     if name == "arith-set":
-        if k is None or k < 1:
+        step = None if k is None else nadic.integer("arith-set step", k)
+        if step is None or step < 1:
             raise UnknownPreset(f"arith-set needs a step k >= 1, got {k}")
-        return SeedSpec(encoders.SET, streams.arith(0, k), f"arith-set:{k}")
+        return SeedSpec(encoders.SET, streams.arith(0, step), f"arith-set:{step}")
     if name == "morton":
         seed = SeedSpec(encoders.BINS, streams.cycle([1, 0]), "morton")
     elif name == "squares":
@@ -535,6 +528,7 @@ def cantor_columns(lo: int, hi: int) -> tuple[list[int], list[int]]:
     Along a diagonal x falls by one and y rises by one, so each diagonal the
     block meets gives one range to each column, the last cut to the block.
     """
+    lo, hi = nadic.natural("cantor_unpair", lo), nadic.integer("the end of a block", hi)
     x, y = cantor_unpair(lo)
     xs: list[int] = []
     ys: list[int] = []
@@ -554,6 +548,7 @@ def cantor_family() -> PairingFamily:
 
 def twist_family(f: PairingFamily, mask: int) -> PairingFamily:
     """XOR the paired value with a fixed mask; still a bijection, new family member."""
+    mask = nadic.integer("xor mask", mask)
     if mask < 0:  # a negative mask would pair into the negative integers
         raise ZeroArgument(f"xor mask must be non-negative, got {mask}")
 
@@ -622,6 +617,7 @@ def family(spec: str, fuel_budget: int = streams.DEFAULT_FUEL) -> PairingFamily:
     as long as no comma in it is followed by "xor:".
     Malformed specs raise a PairbijError subclass.
     """
+    fuel_budget = nadic.integer("fuel budget", fuel_budget)
     head, masks = spec, []
     rest, comma, mod = head.rpartition(",")
     while comma and mod.startswith("xor:"):

@@ -1,25 +1,23 @@
-"""A family's guide source: its seed's guide read once as runs, or a repeated pattern.
+"""A family's guide source: its seed's guide, read once and kept as runs.
 
 charpair.SeedSpec.merge and split read a plain seed's guide from position 0
-on every call: they are the reference. A family holds one of two faster
-sources instead, picked by charpair.family_from_seed, and
-charpair.generic_pair and generic_unpair call all three alike:
-  - a GuidePrefix reads the guide once and routes bits by whole runs;
-  - a PeriodicGuide serves a seed whose guide repeats a pattern holding both
-    bits from position 0 (periodic_pattern finds it from the seed's encoder
-    and payload), and routes bits with one extended slice per pattern
-    position, reading no guide at all.
-Either fast source may hold LaneTables in `tables`, which its family sets
-after its second call (see lane_tables): generic_pair and generic_unpair
-then answer pair(x, y) for x, y < 2**W and unpair(n) for n < 2**CAP from
-them, with no bit form, charged the positions the source would read; the
-source answers the rest, and stays the oracle the tables are tested against.
+on every call: they are the reference. A family holds a GuidePrefix
+instead (charpair.family_from_seed picks it), which routes bits by whole
+runs; over a guide that repeats a pattern holding both bits from position
+0 (periodic_pattern), it is a PeriodicGuide, which places bits with one
+extended slice per pattern position. charpair.generic_pair and
+generic_unpair call all of them alike. A family's source may hold
+LaneTables in `tables`, which its family sets after its second call (see
+lane_tables): generic_pair and generic_unpair then answer pair(x, y) for
+x, y < 2**W and unpair(n) for n < 2**CAP from them, with no bit form,
+charged the positions the source would read; the source answers the
+rest, and stays the oracle the tables are tested against.
 """
 
 import copy
 import threading
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import islice
 from operator import getitem
 
@@ -55,11 +53,12 @@ class GuidePrefix:
     after it, so even runs hold ones and odd runs zeros. Each run stores its
     start and the ones and zeros before it, 24 bytes a run.
 
-    merge and split route bit forms by whole runs and tick the call's fuel
-    by exactly the positions the loop over the plain seed would read, so
-    they give its answers and raise its errors, with the same fields. A
-    guide that ends or fails is read to that point once; every later call
-    that reaches it raises again. Calls may come from several threads.
+    merge and split tick the call's fuel by exactly the positions the loop
+    over the plain seed would read, so they give its answers and raise its
+    errors, with the same fields; then _place and _divide, which slice whole
+    runs here, place or route the bits. A guide that ends or fails is read
+    to that point once; every later call that reaches it raises again. Calls
+    may come from several threads.
     """
 
     __slots__ = ("seed", "label", "budget", "tables", "_lock", "_bits",
@@ -149,10 +148,15 @@ class GuidePrefix:
         n1 = lx if p1 > p0 else end - ly
         xs += [0] * (n1 - lx)
         ys += [0] * (end - n1 - ly)
-        # Run 2i draws from xs and run 2i+1 from ys, each up to its count before run 2i+2.
+        return self._place(xs, ys, max(r1, r0), end)
+
+    def _place(self, xs: list[int], ys: list[int], last: int, end: int) -> list[int]:
+        """The first `end` positions, up to run `last`: run 2i draws from xs and run
+        2i+1 from ys, each up to its count before run 2i+2."""
+        ones, zeros = self._ones, self._zeros
         merged: list[int] = []
         i = k = 0
-        for r in range(2, max(r1, r0) + 1, 2):
+        for r in range(2, last + 1, 2):
             j, m = ones[r], zeros[r]
             merged += xs[i:j]
             merged += ys[k:m]
@@ -163,25 +167,26 @@ class GuidePrefix:
 
     def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
         """The bits generic_unpair routes to the guide's ones and to its zeros."""
-        length = len(payload)
-        runs, known, _, stop = self._cover(0, 0, length, fuel)
-        starts = self._starts
-        after = bisect_right(starts, length, 0, runs)
+        runs, known, _, stop = self._cover(0, 0, len(payload), fuel)
+        after = bisect_right(self._starts, len(payload), 0, runs)
         if after == runs:
             self._fail(known, stop, fuel, UNDELIMITED)
-        fuel.spend(starts[after] + 1)
-        # Runs 0..after-1 cover the payload; run 2i goes to the ones and run
-        # 2i+1 to the zeros. A slice may run past the payload's end, which
-        # cuts it there.
+        fuel.spend(self._starts[after] + 1)
+        return self._divide(payload, after - 1)
+
+    def _divide(self, payload: list[int], last: int) -> tuple[list[int], list[int]]:
+        """Runs 2i of the payload to the ones and runs 2i+1 to the zeros, up to run
+        `last`, which holds position len(payload) and so cuts the last slice."""
+        starts = self._starts
         a: list[int] = []
         b: list[int] = []
         i = 0
-        for r in range(2, after, 2):
+        for r in range(2, last + 1, 2):
             j, k = starts[r - 1], starts[r]
             a += payload[i:j]
             b += payload[j:k]
             i = k
-        j = starts[(after - 1) | 1]
+        j = starts[last | 1]
         a += payload[i:j]
         b += payload[j:]
         return a, b
@@ -208,98 +213,61 @@ def periodic_pattern(seed) -> tuple:
     return (period, ones) if 0 < len(ones) < period else ()
 
 
-class PeriodicGuide:
-    """The guide of one seed (a charpair.SeedSpec) that repeats a pattern of p bits.
+class PeriodicGuide(GuidePrefix):
+    """A GuidePrefix over a guide that repeats a pattern of p bits holding both bits.
 
-    The pattern is its period p and the sorted positions of its c1 ones;
-    the c0 = p - c1 zeros are found from those, so a pattern of one one and
-    many zeros is as cheap as a short one. If r is the q-th one-position,
-    the guide's ones q, q + c1, q + 2*c1, ... sit at positions r, r + p,
-    r + 2p, ..., so merge places a call's bits with one extended-slice
-    assignment per pattern position it reaches, out[r::p] = xs[q::c1], the
-    zero-positions taking ys alike, and split takes them back the same way.
-    The positions the reference loop would read have a closed form, and
-    each call is charged them through fuel.spend, so it gives the loop's
-    answers and errors and leaves the same fuel. The pattern must hold a 0
-    and a 1: a guide that starves a side keeps the GuidePrefix, whose
-    refusal reads to the budget as the loop does. Nothing but `tables`,
-    set once, changes after construction, so calls may come from several
-    threads.
+    Only the placing of bits differs. If the guide's q-th one sits at r < p
+    and the pattern holds c ones, its ones q + c, q + 2c, ... sit at r + p,
+    r + 2p, ..., so merge places xs with one extended-slice assignment per
+    one-position r of the runs below p, out[r::p] = xs[q::c], and ys alike
+    on the zero-positions; split takes them back the same way.
     """
 
-    __slots__ = ("seed", "label", "budget", "tables", "_period", "_ones", "_gaps")
+    __slots__ = ("_period",)
 
     def __init__(self, seed, period: int, ones: tuple[int, ...],
                  fuel_budget: int = streams.DEFAULT_FUEL):
         if not 0 < len(ones) < period:
             raise ValueError(f"a periodic guide needs a 0 and a 1 in its pattern,"
                              f" got {len(ones)} ones in a period of {period}")
-        self.seed = seed
-        self.label = seed.label
-        self.budget = fuel_budget
-        self.tables = None  # LaneTables, set by the family that owns the guide
+        super().__init__(seed, fuel_budget)
         self._period = period
-        self._ones = ones
-        # The q-th zero of the pattern sits past the ones whose gap r - t is at most q.
-        self._gaps = [r - t for t, r in enumerate(ones)]
 
-    def _one(self, j: int) -> int:
-        """The position of the guide's j-th one, from 0."""
-        c1 = len(self._ones)
-        return j // c1 * self._period + self._ones[j % c1]
+    def _slots(self, last: int, end: int) -> tuple[list[int], list[int]]:
+        """The guide's one-positions and zero-positions below p and `end`, in runs 0 to `last`."""
+        starts, p = self._starts, self._period
+        slots: tuple[list[int], list[int]] = ([], [])
+        for r in range(last + 1):
+            if starts[r] >= p:
+                break
+            slots[r & 1].extend(range(starts[r], min(starts[r + 1] if r < last else end, p)))
+        return slots
 
-    def _zero(self, j: int) -> int:
-        """The position of the guide's j-th zero, from 0."""
-        c0 = self._period - len(self._ones)
-        q = j % c0
-        return j // c0 * self._period + q + bisect_right(self._gaps, q)
-
-    def ones_before(self, w: int) -> int:
-        """The ones among the first w guide positions."""
-        return w // self._period * len(self._ones) + bisect_left(self._ones, w % self._period)
-
-    def merge(self, xs: list[int], ys: list[int], fuel: streams.Fuel) -> list[int]:
-        """The bits generic_pair places: xs on the guide's ones, ys on its zeros.
-
-        xs and ys are padded with zeros in place.
-        """
-        _check_fuel(self, fuel)
-        ones, p = self._ones, self._period
-        c1, c0 = len(ones), p - len(ones)
-        # The loop reads on to the later of xs's last one and ys's last zero.
-        end = max(self._one(len(xs) - 1), self._zero(len(ys) - 1), 0) + 1
-        fuel.spend(end)
-        n1 = self.ones_before(end)
-        xs += [0] * (n1 - len(xs))
-        ys += [0] * (end - n1 - len(ys))
+    def _place(self, xs: list[int], ys: list[int], last: int, end: int) -> list[int]:
+        p = self._period
         merged = [0] * end
-        for q, r in enumerate(ones[:n1]):
-            merged[r::p] = xs[q::c1]
-        for q in range(min(c0, end - n1)):
-            merged[self._zero(q)::p] = ys[q::c0]
+        # Once end reaches p, len(slots) is the pattern's count of the bit; below p,
+        # each slice holds one position, so any step of len(slots) or more will do.
+        for slots, side in zip(self._slots(last, end), (xs, ys)):
+            for q, r in enumerate(slots):
+                merged[r::p] = side[q::len(slots)]
         return merged
 
-    def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
-        """The bits generic_unpair routes to the guide's ones and to its zeros."""
-        _check_fuel(self, fuel)
-        ones, p = self._ones, self._period
-        c1, c0 = len(ones), p - len(ones)
-        length = len(payload)
-        n1 = self.ones_before(length)
-        # The loop reads on to the first one and the first zero at or past the payload's end.
-        fuel.spend(max(self._one(n1), self._zero(length - n1)) + 1)
-        a, b = [0] * n1, [0] * (length - n1)
-        for q, r in enumerate(ones[:n1]):
-            a[q::c1] = payload[r::p]
-        for q in range(min(c0, length - n1)):
-            b[q::c0] = payload[self._zero(q)::p]
-        return a, b
+    def _divide(self, payload: list[int], last: int) -> tuple[list[int], list[int]]:
+        p = self._period
+        sides: tuple[list[int], list[int]] = ([], [])
+        for slots, side in zip(self._slots(last, len(payload)), sides):
+            parts = [payload[r::p] for r in slots]
+            side += [0] * sum(map(len, parts))
+            for q, part in enumerate(parts):
+                side[q::len(parts)] = part
+        return sides
 
 
 # The positions a family's lane tables cover: they answer unpair(n) for n < 2**CAP.
 CAP = 256
-# The bits of an input a lane covers; lane k of n is its k-th hex digit.
-LANE_BITS = 4
+# A lane of an input is a hex digit, 4 bits: ("%x" % n)[::-1] translated by _HEX_DIGITS
+# lists the lanes of n, lowest first, and _lanes cuts targets 4 at a time to match.
 _HEX_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
@@ -329,7 +297,7 @@ def extract_targets(ones: list[int], zeros: list[int]) -> tuple[list[int], list[
 
 
 def _lanes(targets: list[int]) -> list[list[int]]:
-    return [lane_table(targets[i:i + LANE_BITS]) for i in range(0, len(targets), LANE_BITS)]
+    return [lane_table(targets[i:i + 4]) for i in range(0, len(targets), 4)]
 
 
 class LaneTables:

@@ -36,6 +36,14 @@ def natural(op: str, n) -> int:
     return i
 
 
+def integer(what: str, n) -> int:
+    """n as an int, through operator.index; ZeroArgument naming what when n is not an integer."""
+    try:
+        return index(n)
+    except TypeError:
+        raise ZeroArgument(f"{what} must be an integer, got {n!r}") from None
+
+
 def naturals(op: str, x, y) -> tuple[int, int]:
     """x and y as ints, as natural gives them, naming both when either is refused."""
     try:
@@ -130,8 +138,7 @@ def unpair_columns(b: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
     once b**k passes the block's length, decons answers any row left.
     """
     check_base(b)
-    if lo < 0:
-        raise ZeroArgument(f"unpair is defined on naturals, got {lo}")
+    lo, hi = natural("unpair", lo), integer("the end of a block", hi)
     z0, size = lo + 1, max(hi - lo, 0)
     xs, ys = [0] * size, [0] * size
     k, step = 0, 1
@@ -159,8 +166,7 @@ def unpair_columns(b: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
 def nat_to_nats(b: int, n: int) -> list[int]:
     """Expand a natural into the finite list of valuations peeled off by decons."""
     check_base(b)
-    if n < 0:
-        raise ZeroArgument(f"nat_to_nats is defined on naturals, got {n}")
+    n = natural("nat_to_nats", n)
     out = []
     while n > 0:
         x, n = decons(b, n)  # tail strictly decreases, so this terminates
@@ -202,8 +208,7 @@ def nat_to_nats_mixed(bases: Iterable[int], n: int) -> list[int]:
 
     Consumes exactly one base per output element.
     """
-    if n < 0:
-        raise ZeroArgument(f"nat_to_nats_mixed is defined on naturals, got {n}")
+    n = natural("nat_to_nats_mixed", n)
     out = []
     bs = iter(bases)
     while n > 0:

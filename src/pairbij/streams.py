@@ -4,9 +4,9 @@ A Stream is an immutable *description*: every iteration instantiates a fresh
 generator and replays the sequence from the start. That stands in for lazy
 lists in a strict language, so descriptions must be cheap to restart and safe
 to share. Where the paper evaluates a guide's lazy list once and shares it, a
-pairing family keeps a guide.GuidePrefix, which reads its seed once, or a
-guide.PeriodicGuide, which reads no guide at all; only
-generic_pair/generic_unpair given a plain SeedSpec re-traverse it per call.
+pairing family keeps a guide.GuidePrefix (a guide.PeriodicGuide when the
+guide repeats), which reads its seed once; only generic_pair/generic_unpair
+given a plain SeedSpec re-traverse it per call.
 """
 
 import itertools

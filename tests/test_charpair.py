@@ -559,6 +559,33 @@ def test_non_integers_are_refused(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: charpair.syracuse(2.5), "syracuse is defined on naturals, got 2.5"),
+    (lambda: charpair.nsyr(3.0), "syracuse is defined on naturals, got 3.0"),
+    (lambda: charpair.cantor_columns(0, 2.5), "the end of a block must be an integer, got 2.5"),
+    (lambda: charpair.twist_family(charpair.family("morton"), 2.0),
+     "xor mask must be an integer, got 2.0"),
+    (lambda: charpair.family("morton", 2.5), "fuel budget must be an integer, got 2.5"),
+    (lambda: charpair.family("nadic:3", 2.5), "fuel budget must be an integer, got 2.5"),
+    (lambda: charpair.preset_family("arith-set", 2.0), "arith-set step must be an integer, got 2.0"),
+    # negative ints keep their messages
+    (lambda: charpair.nsyr(-2), "syracuse is defined on naturals, got -2"),
+    (lambda: charpair.twist_family(charpair.family("morton"), -1),
+     "xor mask must be non-negative, got -1"),
+    (lambda: charpair.family("morton", -1), "fuel budget must be positive, got -1"),
+    (lambda: charpair.preset_family("arith-set", -2), "arith-set needs a step k >= 1, got -2"),
+])
+def test_cold_entries_refuse_a_non_integer(call, message):
+    # unchecked, family("morton", 2.5) and preset_family("arith-set", 2.0) built families
+    with pytest.raises(PairbijError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_bool_step_names_its_int():
+    assert charpair.preset_family("arith-set", True).name == "arith-set:1"
+
+
 @pytest.mark.parametrize("spec", ["morton", "squares,xor:5", "cantor"])
 def test_a_bool_pairs_as_an_int(spec):
     fam = charpair.family(spec)

@@ -352,6 +352,23 @@ def test_pairing_refuses_a_non_integer(call, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: nadic.nat_to_nats(3, 9.0), "nat_to_nats is defined on naturals, got 9.0"),
+    (lambda: nadic.bij(2, 3, 5.0), "nat_to_nats is defined on naturals, got 5.0"),
+    (lambda: nadic.nat_to_nats_mixed([3] * 9, 9.0),
+     "nat_to_nats_mixed is defined on naturals, got 9.0"),
+    (lambda: nadic.unpair_columns(3, 0.5, 3), "unpair is defined on naturals, got 0.5"),
+    (lambda: nadic.unpair_columns(3, 2, 1.5), "the end of a block must be an integer, got 1.5"),
+    (lambda: nadic.nat_to_nats(3, -1), "nat_to_nats is defined on naturals, got -1"),
+    (lambda: nadic.unpair_columns(3, -1, 3), "unpair is defined on naturals, got -1"),
+], ids=["nat_to_nats", "bij", "mixed", "columns-lo", "columns-hi", "negative", "columns-negative"])
+def test_cold_entries_refuse_a_non_integer(call, message):
+    # unchecked, nat_to_nats(3, 9.0) returned [2] and unpair_columns(3, 2, 1.5) ([], [])
+    with pytest.raises(ZeroArgument) as e:
+        call()
+    assert str(e.value) == message
+
+
 def test_pairing_takes_a_bool_as_an_int():
     assert nadic.pair(3, True, 1) == nadic.pair(3, 1, 1)
     assert nadic.unpair(3, True) == nadic.unpair(3, 1)

@@ -84,8 +84,8 @@ def test_periodic_guide_matches_prefix_and_loop_property(data):
     assert refused[0] == refused[1]
     if periodic:
         loop = [int(b == 1) for b in islice(seed.bits(streams.Fuel(1000)), 200)]
-        assert [fam.guide.ones_before(w) for w in range(201)] == \
-            [sum(loop[:w]) for w in range(201)]
+        wide = guide.PeriodicGuide(seed, *guide.periodic_pattern(seed), 1000)
+        assert wide.merge([1] * sum(loop), [0] * (200 - sum(loop)), streams.Fuel(1000)) == loop
 
 
 def test_periodic_guide_answers_the_loop_on_wide_inputs():
@@ -177,3 +177,46 @@ def test_other_families_keep_the_prefix(tmp_path):
                                                              f"cycle {t}"))
                  for t in ([0], [1], [2, 0])]
     assert all(type(fam.guide) is guide.GuidePrefix for fam in families)
+
+
+PERIODIC_SPECS = ["morton", *(f"arith-set:{k}" for k in range(2, 9)), "arith-set:100",
+                  f"arith-set:{10**12}"]
+
+
+@pytest.mark.parametrize("budget", [64, 257, 2000, 5000])
+@pytest.mark.parametrize("width", [2**10, 2**11, 2**12])
+@pytest.mark.parametrize("spec", PERIODIC_SPECS)
+def test_wide_calls_match_prefix_and_loop(spec, width, budget):
+    # Wide inputs whose calls run out of fuel part way at the smaller budgets.
+    fam = charpair.family(spec, budget)
+    seed = fam.guide.seed
+    assert isinstance(fam.guide, guide.PeriodicGuide)
+    top = 1 << (width - 1)
+    x, y = top | 0x5A5A5A5A5A5A5A5A, top | (3**(width // 2) % top)
+    calls = [(charpair.generic_pair, (x, y)), (charpair.generic_pair, (x, 0)),
+             (charpair.generic_pair, (1, y)), (charpair.generic_unpair, (x,)),
+             (charpair.generic_unpair, (y >> 1,))]
+    sources = (fam.guide, guide.GuidePrefix(seed, budget), seed)
+    for op, args in calls:
+        answers = []
+        for source in sources:
+            fuel = _fuel(budget, seed.label)
+            answers.append((outcome(lambda: op(source, *args, fuel)), fuel.remaining))
+        assert answers[0] == answers[1] == answers[2], (op.__name__, args)
+        by_family = fam.pair if op is charpair.generic_pair else fam.unpair
+        assert outcome(lambda: by_family(*args)) == answers[2][0]
+
+
+def test_periodic_family_keeps_about_24_bytes_a_position_read():
+    x, y = 2**10**4 - 1, 2**10**4 - 3
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fam = charpair.family("morton")
+        fam.pair(x, y)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    read = fam.guide._state[1]  # the positions the prefix has read
+    assert read >= 2 * 10**4
+    assert kept <= 32 * read
