@@ -70,16 +70,25 @@ from .guide import (
 _TABLE_SPAN = 1 << CAP
 
 
-def _nat_to_bits(n: int) -> list[int]:
-    """The bit form of n: [0] for zero, else least-significant-first ending in 1."""
-    return list(encoders.list_to_bins(nadic.nat_to_nats(2, n)))
+def _nat_to_bits(n: int) -> bytes:
+    """The bit form of n, a byte 0 or 1 a bit: b"\\x00" for zero, else
+    least-significant-first ending in 1.
+
+    It is the hub's bins map of nadic.nat_to_nats(2, n), a C call a gap:
+    gap g gives bytes(g), g zeros, and the join closes each with a one.
+    Guide sources pad, place and route these bytes by C-level slices, so a
+    call over a sparse guide, whose result is mostly padding zeros, costs
+    little past this codec.
+    """
+    return b"\x01".join(map(bytes, nadic.nat_to_nats(2, n))) + b"\x01" if n else b"\x00"
 
 
-def _bits_to_nat(bits: list[int]) -> int:
-    """Decode a list of the ints 0 and 1; an empty or all-zero list decodes to 0.
+def _bits_to_nat(bits: bytes | bytearray | list[int]) -> int:
+    """Decode a bit form, as bytes, a bytearray or a list of the ints 0 and 1;
+    an empty or all-zero form decodes to 0.
 
     The gaps between ones are found in one pass over the packed bytes. The
-    list is always built here from bit forms and zero padding, so it is not
+    form is always built here from bit forms and zero padding, so it is not
     checked; encoders.bins_to_list reads bits from outside.
     """
     return nadic.nats_to_nat(2, map(len, bytes(bits).split(b"\x01")[:-1]))
@@ -340,6 +349,14 @@ class PairingFamily:
     columns: Callable[[int, int], tuple[list[int], list[int]]] | None = None
 
 
+def _budget(fuel_budget) -> int:
+    """A fuel budget as an int, refused unless it is a positive integer."""
+    fuel_budget = nadic.integer("fuel budget", fuel_budget)
+    if fuel_budget <= 0:  # else every call of a guide family would fail on it
+        raise PairbijError(f"fuel budget must be positive, got {fuel_budget}")
+    return fuel_budget
+
+
 def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) -> PairingFamily:
     """Bundle the generic construction over one seed; each call gets fresh fuel.
 
@@ -354,9 +371,7 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
     tries again; generic_pair and generic_unpair answer from them from then
     on where they can. A family called once builds nothing.
     """
-    fuel_budget = nadic.integer("fuel budget", fuel_budget)
-    if fuel_budget <= 0:  # else every call would fail on it
-        raise PairbijError(f"fuel budget must be positive, got {fuel_budget}")
+    fuel_budget = _budget(fuel_budget)
     pattern = periodic_pattern(seed)
     guide = (PeriodicGuide(seed, *pattern, fuel_budget) if pattern
              else GuidePrefix(seed, fuel_budget))
@@ -615,9 +630,10 @@ def family(spec: str, fuel_budget: int = streams.DEFAULT_FUEL) -> PairingFamily:
     bits-of-naturals), followed by any number of ,xor:<mask> modifiers.
     Modifiers are peeled from the right, so a seed-file path may hold commas
     as long as no comma in it is followed by "xor:".
-    Malformed specs raise a PairbijError subclass.
+    Malformed specs, and a budget that is not a positive integer, raise a
+    PairbijError subclass, also for the families that use no fuel.
     """
-    fuel_budget = nadic.integer("fuel budget", fuel_budget)
+    fuel_budget = _budget(fuel_budget)
     head, masks = spec, []
     rest, comma, mod = head.rpartition(",")
     while comma and mod.startswith("xor:"):

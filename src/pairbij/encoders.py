@@ -165,7 +165,7 @@ BINS = Encoder("bins", bins_to_list, list_to_bins)
 
 def nadic_nat(b: int) -> Encoder:
     """Naturals seen through the base-b expansion of the valuation family."""
-    nadic.check_base(b)  # eagerly, not at the first call
+    b = nadic.base(b)  # eagerly, not at the first call
     return Encoder(
         f"nadic:{b}",
         lambda n: nadic.nat_to_nats(b, n),

@@ -6,12 +6,12 @@ instead (charpair.family_from_seed picks it), which routes bits by whole
 runs; over a guide that repeats a pattern holding both bits from position
 0 (periodic_pattern), it is a PeriodicGuide, which places bits with one
 extended slice per pattern position. charpair.generic_pair and
-generic_unpair call all of them alike. A family's source may hold
-LaneTables in `tables`, which its family sets after its second call (see
-lane_tables): generic_pair and generic_unpair then answer pair(x, y) for
-x, y < 2**W and unpair(n) for n < 2**CAP from them, with no bit form,
-charged the positions the source would read; the source answers the
-rest, and stays the oracle the tables are tested against.
+generic_unpair call all of them alike, with bit forms as bytes. A family's
+source may hold LaneTables in `tables`, which its family sets after its
+second call (see lane_tables): generic_pair and generic_unpair then answer
+pair(x, y) for x, y < 2**W and unpair(n) for n < 2**CAP from them, with no
+bit form, charged the positions the source would read; the source answers
+the rest, and stays the oracle the tables are tested against.
 """
 
 import copy
@@ -32,6 +32,14 @@ def exhausted(label: str, position: int, what: str) -> GuideExhausted:
     """The error of a finite guide that ended after `position` positions."""
     return GuideExhausted(f"guide of seed {label} ended at position {position} {what}",
                           position=position, label=label)
+
+
+def _zeros(n: int, form) -> bytearray | list:
+    """n zeros to place or route a bit form into, of its kind: a bytearray
+    for bytes or a bytearray, as generic_pair and generic_unpair pass them,
+    so that C-level slices move the bits; else a list, which holds any
+    elements (cli._curve_blocks and lane_tables split list(range(L)))."""
+    return bytearray(n) if isinstance(form, (bytes, bytearray)) else [0] * n
 
 
 def _check_fuel(source, fuel: streams.Fuel) -> None:
@@ -125,10 +133,13 @@ class GuidePrefix:
             raise exhausted(self.label, n, what)
         raise copy.copy(stop)  # each call raises its own
 
-    def merge(self, xs: list[int], ys: list[int], fuel: streams.Fuel) -> list[int]:
+    def merge(self, xs, ys, fuel: streams.Fuel) -> bytearray | list:
         """The bits generic_pair places: xs on the guide's ones, ys on its zeros.
 
-        xs and ys are padded with zeros in place.
+        Bit forms come as bytes, and the bits are placed into a bytearray;
+        a direct caller's lists give a list (see _zeros). Each side is padded
+        with zeros to its count by appending bytes(k): that builds new bytes
+        from bytes, and extends a list or a bytearray in place.
         """
         lx, ly = len(xs), len(ys)
         runs, n, o, stop = self._cover(lx, ly, -1, fuel)
@@ -146,15 +157,15 @@ class GuidePrefix:
         end = min(max(p1, p0, 0) + 1, n)
         fuel.spend(end)
         n1 = lx if p1 > p0 else end - ly
-        xs += [0] * (n1 - lx)
-        ys += [0] * (end - n1 - ly)
+        xs += bytes(n1 - lx)
+        ys += bytes(end - n1 - ly)
         return self._place(xs, ys, max(r1, r0), end)
 
-    def _place(self, xs: list[int], ys: list[int], last: int, end: int) -> list[int]:
+    def _place(self, xs, ys, last: int, end: int) -> bytearray | list:
         """The first `end` positions, up to run `last`: run 2i draws from xs and run
         2i+1 from ys, each up to its count before run 2i+2."""
         ones, zeros = self._ones, self._zeros
-        merged: list[int] = []
+        merged = _zeros(0, xs)
         i = k = 0
         for r in range(2, last + 1, 2):
             j, m = ones[r], zeros[r]
@@ -165,8 +176,9 @@ class GuidePrefix:
         merged += ys[k:]
         return merged
 
-    def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
-        """The bits generic_unpair routes to the guide's ones and to its zeros."""
+    def split(self, payload, fuel: streams.Fuel) -> tuple:
+        """The bits generic_unpair routes to the guide's ones and to its zeros:
+        two bytearrays from bytes, two lists from a list (see _zeros)."""
         runs, known, _, stop = self._cover(0, 0, len(payload), fuel)
         after = bisect_right(self._starts, len(payload), 0, runs)
         if after == runs:
@@ -174,12 +186,11 @@ class GuidePrefix:
         fuel.spend(self._starts[after] + 1)
         return self._divide(payload, after - 1)
 
-    def _divide(self, payload: list[int], last: int) -> tuple[list[int], list[int]]:
+    def _divide(self, payload, last: int) -> tuple:
         """Runs 2i of the payload to the ones and runs 2i+1 to the zeros, up to run
         `last`, which holds position len(payload) and so cuts the last slice."""
         starts = self._starts
-        a: list[int] = []
-        b: list[int] = []
+        a, b = _zeros(0, payload), _zeros(0, payload)
         i = 0
         for r in range(2, last + 1, 2):
             j, k = starts[r - 1], starts[r]
@@ -243,9 +254,9 @@ class PeriodicGuide(GuidePrefix):
             slots[r & 1].extend(range(starts[r], min(starts[r + 1] if r < last else end, p)))
         return slots
 
-    def _place(self, xs: list[int], ys: list[int], last: int, end: int) -> list[int]:
+    def _place(self, xs, ys, last: int, end: int) -> bytearray | list:
         p = self._period
-        merged = [0] * end
+        merged = _zeros(end, xs)
         # Once end reaches p, len(slots) is the pattern's count of the bit; below p,
         # each slice holds one position, so any step of len(slots) or more will do.
         for slots, side in zip(self._slots(last, end), (xs, ys)):
@@ -253,12 +264,12 @@ class PeriodicGuide(GuidePrefix):
                 merged[r::p] = side[q::len(slots)]
         return merged
 
-    def _divide(self, payload: list[int], last: int) -> tuple[list[int], list[int]]:
+    def _divide(self, payload, last: int) -> tuple:
         p = self._period
-        sides: tuple[list[int], list[int]] = ([], [])
+        sides = (_zeros(0, payload), _zeros(0, payload))
         for slots, side in zip(self._slots(last, len(payload)), sides):
             parts = [payload[r::p] for r in slots]
-            side += [0] * sum(map(len, parts))
+            side += bytes(sum(map(len, parts)))
             for q, part in enumerate(parts):
                 side[q::len(parts)] = part
         return sides

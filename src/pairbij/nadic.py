@@ -21,6 +21,21 @@ def check_base(b: int) -> None:
         raise InvalidBase(f"valuation base must be >= 2, got {b}")
 
 
+def base(b) -> int:
+    """b as an int, through operator.index, checked as a valuation base.
+
+    A b that is not an integer raises InvalidBase naming it, as one below 2
+    does. The cold entries take their base here once; cons and decons,
+    which run per element, only compare it.
+    """
+    try:
+        i = index(b)
+    except TypeError:
+        raise InvalidBase(f"valuation base must be an integer, got {b!r}") from None
+    check_base(i)
+    return i
+
+
 def natural(op: str, n) -> int:
     """n as an int, through operator.index, for a call of op defined on naturals.
 
@@ -137,7 +152,7 @@ def unpair_columns(b: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
     k. A multiple of b**(k+1) is left to the levels above, which rewrite it;
     once b**k passes the block's length, decons answers any row left.
     """
-    check_base(b)
+    b = base(b)
     lo, hi = natural("unpair", lo), integer("the end of a block", hi)
     z0, size = lo + 1, max(hi - lo, 0)
     xs, ys = [0] * size, [0] * size
@@ -165,7 +180,7 @@ def unpair_columns(b: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
 
 def nat_to_nats(b: int, n: int) -> list[int]:
     """Expand a natural into the finite list of valuations peeled off by decons."""
-    check_base(b)
+    b = base(b)
     n = natural("nat_to_nats", n)
     out = []
     while n > 0:
@@ -179,7 +194,7 @@ def nats_to_nat(b: int, xs: Iterable[int]) -> int:
 
     For b = 2 the fold inlines cons as one shift per element.
     """
-    check_base(b)
+    b = base(b)
     n = 0
     if b == 2:
         try:

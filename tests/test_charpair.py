@@ -623,9 +623,17 @@ def test_family_refuses_a_non_positive_budget(tmp_path, spec, budget):
     assert str(info.value) == f"fuel budget must be positive, got {budget}"
 
 
-@pytest.mark.parametrize("spec", ["nadic:3", "cantor"])
-def test_family_without_fuel_takes_any_budget(spec):
-    fam = charpair.family(spec, 0)
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("spec", ["nadic:3", "cantor", "nadic:3,xor:1"])
+def test_guide_less_family_refuses_a_non_positive_budget(spec, budget):
+    # unrefused, these families built and worked while morton's raised
+    messages = []
+    for head in (spec, "morton"):
+        with pytest.raises(PairbijError) as info:
+            charpair.family(head, budget)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == f"fuel budget must be positive, got {budget}"
+    fam = charpair.family(spec, 1)  # a guide-less family spends no fuel
     assert fam.unpair(fam.pair(4, 7)) == (4, 7)
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairbij import nadic, streams
+from pairbij import encoders, nadic, streams
 from pairbij.errors import InvalidBase, PairbijError, ZeroArgument
 from pairbij.invariants import decons_by_division
 
@@ -367,6 +367,41 @@ def test_cold_entries_refuse_a_non_integer(call, message):
     with pytest.raises(ZeroArgument) as e:
         call()
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda b: nadic.nat_to_nats(b, 9),
+    lambda b: nadic.nats_to_nat(b, [0, 1, 0]),
+    lambda b: nadic.unpair_columns(b, 0, 4),
+    lambda b: encoders.nadic_nat(b),
+    lambda b: nadic.bij(3, b, 9),
+    lambda b: nadic.bij(b, 3, 9),
+], ids=["nat_to_nats", "nats_to_nat", "unpair_columns", "nadic_nat", "bij-to", "bij-from"])
+@pytest.mark.parametrize("b", [2.5, 2.0, "3", None])
+def test_cold_entries_refuse_a_non_integer_base(call, b):
+    # unchecked, nat_to_nats(2.5, 9) and nadic_nat(2.5).forward(9) returned [0, 1, 0],
+    # bij(3, 2.5, 9) raised AttributeError and unpair_columns(2.5, 0, 4) a bare TypeError
+    with pytest.raises(InvalidBase) as e:
+        call(b)
+    assert str(e.value) == f"valuation base must be an integer, got {b!r}"
+
+
+class IndexOnly:
+    """An integer type that is not int, as numpy's are: it has __index__ only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_cold_entries_take_an_integer_base_through_index():
+    assert nadic.nat_to_nats(IndexOnly(3), 9) == nadic.nat_to_nats(3, 9)
+    assert nadic.nats_to_nat(IndexOnly(3), [1, 0]) == nadic.nats_to_nat(3, [1, 0])
+    assert encoders.nadic_nat(IndexOnly(3)).name == "nadic:3"
+    with pytest.raises(InvalidBase, match="must be >= 2, got 1"):
+        nadic.nat_to_nats(True, 9)
 
 
 def test_pairing_takes_a_bool_as_an_int():
