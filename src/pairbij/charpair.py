@@ -336,7 +336,7 @@ class PairingFamily:
     sends bit i of n, XOR the mask of its ,xor: twists, to x or to y as
     guide position i says. That map is linear over XOR, which lets a caller
     walking n = 0, 1, 2, ... get a whole block of points from two tables
-    read off one guide.split (see cli._curve_blocks). A family with no guide
+    read off one guide.layout (see cli._curve_blocks). A family with no guide
     may keep in `columns` a function that gives the unpair of every n in
     [lo, hi) as a column of x and a column of y, built a progression at a
     time.

@@ -124,13 +124,13 @@ def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
     each table value: at most 2**c and 2**(12 - c) of them, where c counts
     the ones among the first 12 guide positions.
 
-    One split of the positions 0..L-1, L = count.bit_length(), gives the
-    tables: it routes position i to the ones or to the zeros as unpair
+    One layout of the positions 0..L-1, L = count.bit_length(), gives the
+    tables: it sends position i to the ones or to the zeros as unpair
     routes bit i, and guide.lane_table doubles each table from the bits of
-    x and y those positions set, as for a family's lane tables. The split
-    also reads the guide and spends the fuel of an unpair whose n ^ mask
-    has L bits, and the n <= count whose n ^ mask is longest is 0 or
-    2**(L-1). So once unpair(0) has run, the split fails exactly
+    x and y those positions set, as for a family's lane tables. The layout
+    reads the guide and spends the fuel of a split of an n ^ mask of L
+    bits, and the n <= count whose n ^ mask is longest is 0 or
+    2**(L-1). So once unpair(0) has run, the layout fails exactly
     when unpair fails at some n <= count; then unpair runs at each power of
     two below 2**L, so that the error names the first n where it fails.
     """
@@ -146,16 +146,16 @@ def _curve_blocks(fam: charpair.PairingFamily, count: int) -> Iterator[tuple]:
     x, y = _unpair_at(fam, 0)
     length = count.bit_length()
     try:
-        split = guide.split(list(range(length)), streams.Fuel(guide.budget))
+        layout = guide.layout(length, streams.Fuel(guide.budget))
     except PairbijError:
         for w in range(length):
             _unpair_at(fam, 1 << w)
         raise
-    tx, ty = (lane_table(t[:_BLOCK_BITS]) for t in extract_targets(*split))
+    tx, ty = (lane_table(t[:_BLOCK_BITS]) for t in extract_targets(*layout))
     # The last entry of a table, X or Y of all its bits, is the largest it holds.
     vx, vy = range(tx[-1] + 1), range(ty[-1] + 1)
     for ns in spans:
-        if ns.start:  # unpair fails at no n up to count, as the split showed
+        if ns.start:  # unpair fails at no n up to count, as the layout showed
             x, y = fam.unpair(ns.start)
         yield ns, ([x ^ v for v in vx], [y ^ v for v in vy]), (tx, ty)
 

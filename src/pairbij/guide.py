@@ -6,20 +6,21 @@ instead (charpair.family_from_seed picks it), which routes bits by whole
 runs; over a guide that repeats a pattern holding both bits from position
 0 (periodic_pattern), it is a PeriodicGuide, which places bits with one
 extended slice per pattern position. charpair.generic_pair and
-generic_unpair call all of them alike, with bit forms as bytes. A family's
-source may hold LaneTables in `tables`, which its family sets after its
-second call (see lane_tables): generic_pair and generic_unpair then answer
-pair(x, y) for x, y < 2**W and unpair(n) for n < 2**CAP from them, with no
-bit form, charged the positions the source would read; the source answers
-the rest, and stays the oracle the tables are tested against.
+generic_unpair call all of them alike, with bit forms as bytes only;
+GuidePrefix.layout gives the positions a split routes to each side. A
+family's source may hold LaneTables in `tables`, which its family sets
+after its second call (see lane_tables): generic_pair and generic_unpair
+then answer pair(x, y) for x, y < 2**W and unpair(n) for n < 2**CAP from
+them, with no bit form, charged the positions the source would read; the
+source answers the rest, and stays the oracle the tables are tested against.
 """
 
 import copy
 import threading
 from array import array
-from bisect import bisect_right
-from itertools import islice
-from operator import getitem
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice, repeat
+from operator import getitem, sub
 
 from . import encoders, streams
 from .errors import GuideExhausted
@@ -32,14 +33,6 @@ def exhausted(label: str, position: int, what: str) -> GuideExhausted:
     """The error of a finite guide that ended after `position` positions."""
     return GuideExhausted(f"guide of seed {label} ended at position {position} {what}",
                           position=position, label=label)
-
-
-def _zeros(n: int, form) -> bytearray | list:
-    """n zeros to place or route a bit form into, of its kind: a bytearray
-    for bytes or a bytearray, as generic_pair and generic_unpair pass them,
-    so that C-level slices move the bits; else a list, which holds any
-    elements (cli._curve_blocks and lane_tables split list(range(L)))."""
-    return bytearray(n) if isinstance(form, (bytes, bytearray)) else [0] * n
 
 
 def _check_fuel(source, fuel: streams.Fuel) -> None:
@@ -64,9 +57,10 @@ class GuidePrefix:
     merge and split tick the call's fuel by exactly the positions the loop
     over the plain seed would read, so they give its answers and raise its
     errors, with the same fields; then _place and _divide, which slice whole
-    runs here, place or route the bits. A guide that ends or fails is read
-    to that point once; every later call that reaches it raises again. Calls
-    may come from several threads.
+    runs here, place or route the bits into bytearrays; layout charges and
+    fails as split does. A guide that ends or fails is read to that point
+    once; every later call that reaches it raises again. Calls may come from
+    several threads.
     """
 
     __slots__ = ("seed", "label", "budget", "tables", "_lock", "_bits",
@@ -133,13 +127,11 @@ class GuidePrefix:
             raise exhausted(self.label, n, what)
         raise copy.copy(stop)  # each call raises its own
 
-    def merge(self, xs, ys, fuel: streams.Fuel) -> bytearray | list:
+    def merge(self, xs: bytes, ys: bytes, fuel: streams.Fuel) -> bytearray:
         """The bits generic_pair places: xs on the guide's ones, ys on its zeros.
 
-        Bit forms come as bytes, and the bits are placed into a bytearray;
-        a direct caller's lists give a list (see _zeros). Each side is padded
-        with zeros to its count by appending bytes(k): that builds new bytes
-        from bytes, and extends a list or a bytearray in place.
+        Bit forms are bytes only, and the bits are placed into a bytearray.
+        Each side is padded with zeros to its count by appending bytes(k).
         """
         lx, ly = len(xs), len(ys)
         runs, n, o, stop = self._cover(lx, ly, -1, fuel)
@@ -161,11 +153,11 @@ class GuidePrefix:
         ys += bytes(end - n1 - ly)
         return self._place(xs, ys, max(r1, r0), end)
 
-    def _place(self, xs, ys, last: int, end: int) -> bytearray | list:
+    def _place(self, xs: bytes, ys: bytes, last: int, end: int) -> bytearray:
         """The first `end` positions, up to run `last`: run 2i draws from xs and run
         2i+1 from ys, each up to its count before run 2i+2."""
         ones, zeros = self._ones, self._zeros
-        merged = _zeros(0, xs)
+        merged = bytearray()
         i = k = 0
         for r in range(2, last + 1, 2):
             j, m = ones[r], zeros[r]
@@ -176,21 +168,37 @@ class GuidePrefix:
         merged += ys[k:]
         return merged
 
-    def split(self, payload, fuel: streams.Fuel) -> tuple:
-        """The bits generic_unpair routes to the guide's ones and to its zeros:
-        two bytearrays from bytes, two lists from a list (see _zeros)."""
-        runs, known, _, stop = self._cover(0, 0, len(payload), fuel)
-        after = bisect_right(self._starts, len(payload), 0, runs)
+    def split(self, payload: bytes, fuel: streams.Fuel) -> tuple[bytearray, bytearray]:
+        """The bits generic_unpair routes to the guide's ones and to its zeros,
+        from bytes only, as two bytearrays."""
+        return self._divide(payload, self._delimit(len(payload), fuel))
+
+    def layout(self, length: int, fuel: streams.Fuel) -> tuple[list[int], list[int]]:
+        """The positions below `length` that split routes to the guide's ones
+        and to its zeros, charged and failing as a split of `length` positions."""
+        return self._positions(self._delimit(length, fuel), length)
+
+    def _delimit(self, length: int, fuel: streams.Fuel) -> int:
+        """The run holding position `length`, once the guide delimits both sides
+        past it; charged as split charges a payload of `length` bits."""
+        runs, known, _, stop = self._cover(0, 0, length, fuel)
+        after = bisect_right(self._starts, length, 0, runs)
         if after == runs:
             self._fail(known, stop, fuel, UNDELIMITED)
         fuel.spend(self._starts[after] + 1)
-        return self._divide(payload, after - 1)
+        return after - 1
 
-    def _divide(self, payload, last: int) -> tuple:
+    def _positions(self, last: int, stop: int) -> tuple[list[int], list[int]]:
+        """The one-positions and zero-positions below `stop` in runs 0 to `last`."""
+        bounds = [*self._starts[:bisect_left(self._starts, stop, 0, last + 1)], stop]
+        return (list(chain.from_iterable(map(range, bounds[::2], bounds[1::2]))),
+                list(chain.from_iterable(map(range, bounds[1::2], bounds[2::2]))))
+
+    def _divide(self, payload: bytes, last: int) -> tuple[bytearray, bytearray]:
         """Runs 2i of the payload to the ones and runs 2i+1 to the zeros, up to run
         `last`, which holds position len(payload) and so cuts the last slice."""
         starts = self._starts
-        a, b = _zeros(0, payload), _zeros(0, payload)
+        a, b = bytearray(), bytearray()
         i = 0
         for r in range(2, last + 1, 2):
             j, k = starts[r - 1], starts[r]
@@ -244,30 +252,20 @@ class PeriodicGuide(GuidePrefix):
         super().__init__(seed, fuel_budget)
         self._period = period
 
-    def _slots(self, last: int, end: int) -> tuple[list[int], list[int]]:
-        """The guide's one-positions and zero-positions below p and `end`, in runs 0 to `last`."""
-        starts, p = self._starts, self._period
-        slots: tuple[list[int], list[int]] = ([], [])
-        for r in range(last + 1):
-            if starts[r] >= p:
-                break
-            slots[r & 1].extend(range(starts[r], min(starts[r + 1] if r < last else end, p)))
-        return slots
-
-    def _place(self, xs, ys, last: int, end: int) -> bytearray | list:
+    def _place(self, xs: bytes, ys: bytes, last: int, end: int) -> bytearray:
         p = self._period
-        merged = _zeros(end, xs)
+        merged = bytearray(end)
         # Once end reaches p, len(slots) is the pattern's count of the bit; below p,
         # each slice holds one position, so any step of len(slots) or more will do.
-        for slots, side in zip(self._slots(last, end), (xs, ys)):
+        for slots, side in zip(self._positions(last, min(end, p)), (xs, ys)):
             for q, r in enumerate(slots):
                 merged[r::p] = side[q::len(slots)]
         return merged
 
-    def _divide(self, payload, last: int) -> tuple:
+    def _divide(self, payload: bytes, last: int) -> tuple[bytearray, bytearray]:
         p = self._period
-        sides = (_zeros(0, payload), _zeros(0, payload))
-        for slots, side in zip(self._slots(last, len(payload)), sides):
+        sides = (bytearray(), bytearray())
+        for slots, side in zip(self._positions(last, min(len(payload), p)), sides):
             parts = [payload[r::p] for r in slots]
             side += bytes(sum(map(len, parts)))
             for q, part in enumerate(parts):
@@ -296,8 +294,8 @@ def lane_table(targets: list[int]) -> list[int]:
 
 def extract_targets(ones: list[int], zeros: list[int]) -> tuple[list[int], list[int]]:
     """The bit of x and the bit of y that each position 0..L-1 sets in unpair,
-    given the positions a split of range(L) routes to the guide's ones and to
-    its zeros: the j-th one sets bit j of x, the j-th zero bit j of y."""
+    given the positions below L that GuidePrefix.layout gives the guide's ones
+    and its zeros: the j-th one sets bit j of x, the j-th zero bit j of y."""
     xt = [0] * (len(ones) + len(zeros))
     yt = xt.copy()
     for j, p in enumerate(ones):
@@ -361,39 +359,28 @@ class LaneTables:
         return sum(map(getitem, self._ux, lanes)), sum(map(getitem, self._uy, lanes))
 
 
-def _split_reads(source, length: int, budget: int) -> tuple[tuple[list, list], int]:
-    """A split of range(length), and the positions it read."""
-    fuel = streams.Fuel(budget)
-    return source.split(list(range(length)), fuel), budget - fuel.remaining
-
-
 def lane_tables(source, budget: int) -> LaneTables | None:
     """The LaneTables of a guide source for calls with fuel of this budget, or None.
 
-    They come from a split of the positions below CAP, with fresh fuel of
-    the budget. If it returns, no call of the source below the tables'
+    They come from the layout of the positions below CAP, with fresh fuel
+    of the budget. If it returns, no call of the source below the tables'
     limits can fail for want of fuel or guide: each reads no further than
-    that split. If it raises anything, or the guide has no one or no zero
-    below CAP, there are none, and the error is left to the calls that
-    reach it.
+    a split of CAP positions. If it raises anything, or the guide has no
+    one or no zero below CAP, there are none, and the error is left to the
+    calls that reach it.
 
-    A split of a payload of L bits reads on to the first position past L
-    whose bit differs from position L's. Below CAP the split's bits give
-    that, except in the last run below CAP, whose splits read what a split
-    of CAP - 1 positions reads, and at CAP itself.
+    A split of a payload of k bits reads on to the start of the run after
+    position k, so the positions in a run each charge the next run's start,
+    plus 1; the layout has read the runs through the one after position CAP.
     """
     try:
-        (ones, zeros), last = _split_reads(source, CAP, budget)
-        if not (ones and zeros):
-            return None
-        reads = [0] * CAP + [last]
-        _, reads[CAP - 1] = _split_reads(source, CAP - 1, budget)
+        ones, zeros = source.layout(CAP, streams.Fuel(budget))
     except Exception:  # a call that reaches the failure raises it, as without tables
         return None
-    bits = bytearray(CAP)
-    for p in ones:
-        bits[p] = 1
-    for k in range(CAP - 2, 0, -1):
-        reads[k] = reads[k + 1] if bits[k] == bits[k + 1] else k + 2
-    reads[0] = reads[1]  # the bit form of 0 is [0]
-    return LaneTables(source, ones, zeros, reads)
+    if not (ones and zeros):
+        return None
+    starts = source._starts[:bisect_right(source._starts, CAP) + 1]
+    reads = list(chain.from_iterable(map(repeat, [s + 1 for s in starts[1:]],
+                                         map(sub, starts[1:], starts))))
+    reads[0] = reads[1]  # the bit form of 0 is one bit long, as is that of 1
+    return LaneTables(source, ones, zeros, reads[:CAP + 1])

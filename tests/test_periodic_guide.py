@@ -85,7 +85,8 @@ def test_periodic_guide_matches_prefix_and_loop_property(data):
     if periodic:
         loop = [int(b == 1) for b in islice(seed.bits(streams.Fuel(1000)), 200)]
         wide = guide.PeriodicGuide(seed, *guide.periodic_pattern(seed), 1000)
-        assert wide.merge([1] * sum(loop), [0] * (200 - sum(loop)), streams.Fuel(1000)) == loop
+        ones = sum(loop)
+        assert wide.merge(bytes([1] * ones), bytes(200 - ones), streams.Fuel(1000)) == bytes(loop)
 
 
 def test_periodic_guide_answers_the_loop_on_wide_inputs():
