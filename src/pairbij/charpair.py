@@ -39,7 +39,7 @@ alike; family_from_seed picks the source.
 
 import sys
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, count, islice, tee
 from math import isqrt
@@ -217,9 +217,11 @@ class SeedSpec:
             return _validated_bits(src)
         return encoders.list_to_bins(self.encoder.forward(src))
 
-    def merge(self, xs: list[int], ys: list[int], fuel: streams.Fuel) -> list[int]:
+    def merge(self, xs: Sequence[int], ys: Sequence[int], fuel: streams.Fuel) -> list[int]:
         """The bits generic_pair places: xs on the guide's ones, ys on its zeros,
-        zeros where a side has run out."""
+        zeros where a side has run out. The bit forms may be any sequence of
+        the ints 0 and 1: generic_pair passes bytes, a direct caller may pass
+        lists."""
         lx, ly = len(xs), len(ys)
         ix = iy = 0
         merged: list[int] = []
@@ -245,8 +247,9 @@ class SeedSpec:
             raise exhausted(self.label, len(merged), UNPLACED)
         return merged
 
-    def split(self, payload: list[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
-        """The bits generic_unpair routes to the guide's ones and to its zeros.
+    def split(self, payload: Sequence[int], fuel: streams.Fuel) -> tuple[list[int], list[int]]:
+        """The bits generic_unpair routes to the guide's ones and to its zeros,
+        from any sequence of bits (generic_unpair passes bytes), as two lists.
 
         Each side ends at the first position past the payload that the guide
         gives it, and the call once both have; those positions keep nothing,
@@ -361,43 +364,38 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
     """Bundle the generic construction over one seed; each call gets fresh fuel.
 
     This is the one place that picks a family's guide source, which its
-    calls share: a PeriodicGuide when the seed's guide repeats a pattern
-    holding both a 0 and a 1, else a GuidePrefix, so that the guide is read
-    once per family.
+    calls share, so that the guide is read once per family: a
+    PeriodicGuide when the seed's shape gives its guide a period
+    (guide.periodic_pattern), else a GuidePrefix.
 
     Once the family's second call has returned or raised, so that the call
-    is answered the way it always was, the family builds the source's
-    guide.LaneTables, unless the budget or the guide allows none, and never
-    tries again; generic_pair and generic_unpair answer from them from then
-    on where they can. A family called once builds nothing.
+    is answered the way it always was, that call, and only that call even
+    when threads race, builds the source's guide.LaneTables, unless the
+    budget or the guide allows none; no call tries again. generic_pair and
+    generic_unpair answer from the tables from then on where they can. A
+    family called once builds nothing.
     """
     fuel_budget = _budget(fuel_budget)
-    pattern = periodic_pattern(seed)
-    guide = (PeriodicGuide(seed, *pattern, fuel_budget) if pattern
-             else GuidePrefix(seed, fuel_budget))
+    period = periodic_pattern(seed)
+    guide = PeriodicGuide(seed, period, fuel_budget) if period else GuidePrefix(seed, fuel_budget)
     label = f"seed {seed.label}"
-    called = built = False
-
-    def warm() -> None:
-        nonlocal called, built
-        if called:  # threads may race to build; each sets the tables in one assignment
-            guide.tables = lane_tables(guide, fuel_budget)
-            built = True
-        called = True
+    # Each call that finishes while there are no tables takes the next number, in one
+    # step of the count, so when threads race one call still takes 1: the second builds.
+    finished = count()
 
     def pair(x: int, y: int) -> int:
         try:
             return generic_pair(guide, x, y, streams.Fuel(fuel_budget, label=label))
         finally:
-            if not built:
-                warm()
+            if guide.tables is None and next(finished) == 1:
+                guide.tables = lane_tables(guide, fuel_budget)
 
     def unpair(n: int) -> tuple[int, int]:
         try:
             return generic_unpair(guide, n, streams.Fuel(fuel_budget, label=label))
         finally:
-            if not built:
-                warm()
+            if guide.tables is None and next(finished) == 1:
+                guide.tables = lane_tables(guide, fuel_budget)
 
     return PairingFamily(seed.label, pair, unpair, guide=guide)
 

@@ -3,8 +3,8 @@
 charpair.SeedSpec.merge and split read a plain seed's guide from position 0
 on every call: they are the reference. A family holds a GuidePrefix
 instead (charpair.family_from_seed picks it), which routes bits by whole
-runs; over a guide that repeats a pattern holding both bits from position
-0 (periodic_pattern), it is a PeriodicGuide, which places bits with one
+runs; over a seed whose shape says its guide repeats from position 0
+(periodic_pattern), it is a PeriodicGuide, which places bits with one
 extended slice per pattern position. charpair.generic_pair and
 generic_unpair call all of them alike, with bit forms as bytes only;
 GuidePrefix.layout gives the positions a split routes to each side. A
@@ -131,7 +131,8 @@ class GuidePrefix:
         """The bits generic_pair places: xs on the guide's ones, ys on its zeros.
 
         Bit forms are bytes only, and the bits are placed into a bytearray.
-        Each side is padded with zeros to its count by appending bytes(k).
+        Each side is padded with zeros to its count into a new object, so a
+        caller's bytearray is left as it was.
         """
         lx, ly = len(xs), len(ys)
         runs, n, o, stop = self._cover(lx, ly, -1, fuel)
@@ -149,8 +150,8 @@ class GuidePrefix:
         end = min(max(p1, p0, 0) + 1, n)
         fuel.spend(end)
         n1 = lx if p1 > p0 else end - ly
-        xs += bytes(n1 - lx)
-        ys += bytes(end - n1 - ly)
+        xs = xs + bytes(n1 - lx)
+        ys = ys + bytes(end - n1 - ly)
         return self._place(xs, ys, max(r1, r0), end)
 
     def _place(self, xs: bytes, ys: bytes, last: int, end: int) -> bytearray:
@@ -211,44 +212,39 @@ class GuidePrefix:
         return a, b
 
 
-def periodic_pattern(seed) -> tuple:
-    """(p, ones) when a seed's guide repeats a pattern of period p holding
-    both bits from position 0, ones the sorted positions of its ones in
-    [0, p); else () when that is not known or a side would starve.
+def periodic_pattern(seed) -> int:
+    """The period of a seed's guide, read from the seed's shape alone, or 0
+    when the shape says nothing.
 
-    A bins seed over streams.cycle(t) repeats t when every element is 0 or 1,
-    read as the reference loop reads bits (any bit equal to 1 is a one); a
-    set seed over streams.arith(0, k) repeats a one and k - 1 zeros, kept as
-    (k, (0,)), so that a long step costs nothing.
+    A bins seed over streams.cycle(t) repeats t, and a set seed over
+    streams.arith(0, k) repeats a one and k - 1 zeros, so that a long step
+    costs nothing. Nothing is pulled, so a pattern that starves a side or
+    holds a bad bit has a period too: its calls fail where the prefix's do.
     """
     kind, *args = getattr(seed.payload, "_shape", None) or ("",)
-    if kind == "cycle" and seed.encoder is encoders.BINS and all(b in (0, 1) for b in args[0]):
-        period, ones = len(args[0]), tuple(r for r, b in enumerate(args[0]) if b == 1)
-    elif (kind == "arith" and seed.encoder is encoders.SET
-          and type(args[0]) is type(args[1]) is int and args[0] == 0):
-        period, ones = args[1], (0,)
-    else:
-        return ()
-    return (period, ones) if 0 < len(ones) < period else ()
+    if kind == "cycle" and seed.encoder is encoders.BINS:
+        return len(args[0])
+    if (kind == "arith" and seed.encoder is encoders.SET
+            and type(args[0]) is type(args[1]) is int and args[0] == 0):
+        return args[1]
+    return 0
 
 
 class PeriodicGuide(GuidePrefix):
-    """A GuidePrefix over a guide that repeats a pattern of p bits holding both bits.
+    """A GuidePrefix over a guide that repeats a pattern of p bits from position 0.
 
     Only the placing of bits differs. If the guide's q-th one sits at r < p
     and the pattern holds c ones, its ones q + c, q + 2c, ... sit at r + p,
     r + 2p, ..., so merge places xs with one extended-slice assignment per
     one-position r of the runs below p, out[r::p] = xs[q::c], and ys alike
-    on the zero-positions; split takes them back the same way.
+    on the zero-positions; split takes them back the same way. They run
+    only once _cover has read the positions a call needs, so a pattern that
+    starves a side or holds a bad bit fails there as a plain prefix does.
     """
 
     __slots__ = ("_period",)
 
-    def __init__(self, seed, period: int, ones: tuple[int, ...],
-                 fuel_budget: int = streams.DEFAULT_FUEL):
-        if not 0 < len(ones) < period:
-            raise ValueError(f"a periodic guide needs a 0 and a 1 in its pattern,"
-                             f" got {len(ones)} ones in a period of {period}")
+    def __init__(self, seed, period: int, fuel_budget: int = streams.DEFAULT_FUEL):
         super().__init__(seed, fuel_budget)
         self._period = period
 

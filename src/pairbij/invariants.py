@@ -258,8 +258,8 @@ def prefix_matches_loop(seeds: Iterable[charpair.SeedSpec], budgets: Iterable[in
     and so do the family's own pair and unpair, lane tables and all.
 
     Each seed and budget is served by a fresh GuidePrefix and by the source
-    family_from_seed picks (a PeriodicGuide for a seed that repeats a
-    pattern holding both bits, else a second GuidePrefix), which holds the
+    family_from_seed picks (a PeriodicGuide for a seed whose shape gives
+    its guide a period, else a second GuidePrefix), which holds the
     family's lane tables once they are built; each source serves every
     call, as in a family, and each call gets fresh fuel of that budget.
     Results, errors (type, message and fields) and the fuel left must agree

@@ -92,8 +92,8 @@ SEEDS.append(charpair.preset_seed("arith-set", 3))
 @pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: seed.label)
 def test_direct_calls_keep_the_kind_of_their_input(seed):
     rng = random.Random(seed.label)
-    pattern = guide.periodic_pattern(seed)
-    sources = [guide.GuidePrefix(seed)] + ([guide.PeriodicGuide(seed, *pattern)] if pattern else [])
+    period = guide.periodic_pattern(seed)
+    sources = [guide.GuidePrefix(seed)] + ([guide.PeriodicGuide(seed, period)] if period else [])
     for source in sources:
         for _ in range(10):
             # powers2 places 12 bits in 2**11 positions, and runs out of fuel on some
@@ -105,3 +105,18 @@ def test_direct_calls_keep_the_kind_of_their_input(seed):
                 packed, kinds = _contents(_charged(lambda f: call(*map(bytes, args), f), 10**4))
                 assert packed == loop
                 assert kinds == [bytearray] * len(kinds)
+
+
+@pytest.mark.parametrize("spec", ["squares", "morton"])
+def test_merge_leaves_a_callers_bytearrays_unchanged(spec):
+    # squares takes a GuidePrefix and morton a PeriodicGuide; each pads the
+    # shorter side, which must not write into the caller's bytearray.
+    seed = charpair.preset_seed(spec)
+    source = charpair.family_from_seed(seed).guide
+    for xs, ys in [(b"\x01", b"\x01\x00\x01"), (b"\x01\x00\x01", b"\x01"), (b"", b"\x00\x01"),
+                   (b"\x01\x01", b"")]:
+        x, y = bytearray(xs), bytearray(ys)
+        got, kinds = _contents(_charged(lambda f: source.merge(x, y, f), 100))
+        assert (x, y) == (xs, ys)
+        assert got == _contents(_charged(lambda f: seed.merge(list(xs), list(ys), f), 100))[0]
+        assert kinds in ([], [bytearray])

@@ -976,7 +976,7 @@ def test_fast_sources_match_loop_with_an_empty_side(seed):
     # generic_pair and generic_unpair never pass an empty bit form; a direct caller can.
     calls = [("merge", [], []), ("merge", [], [1, 1]), ("merge", [1, 0, 1], []),
              ("merge", [1], [1]), ("split", [])]
-    pattern = guide.periodic_pattern(seed)
+    period = guide.periodic_pattern(seed)
     for budget in (1, 3, 40, 10**4):
         # A prefix grown by a wide call holds runs well past what the calls below need.
         grown = guide.GuidePrefix(seed, budget)
@@ -984,7 +984,7 @@ def test_fast_sources_match_loop_with_an_empty_side(seed):
         for name, *args in calls:
             want = _charged(lambda f: getattr(seed, name)(*map(list, args), f), budget)
             sources = [guide.GuidePrefix(seed, budget), grown]
-            sources += [guide.PeriodicGuide(seed, *pattern, budget)] if pattern else []
+            sources += [guide.PeriodicGuide(seed, period, budget)] if period else []
             for source in sources:
                 got = _listed(_charged(lambda f: getattr(source, name)(*map(bytes, args), f),
                                        budget))
@@ -1169,7 +1169,9 @@ def test_cold_family_builds_lane_tables_across_threads():
         ready.wait()
         results[i] = [getattr(fam, f)(*args) for f, *args in calls]
 
-    _race(work)
+    with mock.patch.object(charpair, "lane_tables", wraps=charpair.lane_tables) as build:
+        _race(work)
+    assert build.call_count == 1
     serial_fam = charpair.family("bits-of-naturals")
     assert results == [[getattr(serial_fam, f)(*args) for f, *args in calls]] * 4
 

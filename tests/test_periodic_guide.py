@@ -41,11 +41,11 @@ def test_periodic_guide_matches_prefix_and_loop_property(data):
     k = data.draw(st.integers(1, 8) | st.sampled_from(LONG_STEPS))
     seed, head = _seed(kind, pattern, k)
     bits = [int(b == 1) for b in pattern]
-    periodic = k >= 2 if kind == "arith-set" else 0 in bits and 1 in bits
+    both = k >= 2 if kind == "arith-set" else 0 in bits and 1 in bits
     # A guide that starves a side, or has a one past the budget, makes the
     # loop spend its whole budget on many calls.
     budget = data.draw(st.integers(1, 64) | st.just(streams.DEFAULT_FUEL)
-                       | st.just(sys.maxsize + 5) if periodic and k <= 8 else st.integers(1, 64))
+                       | st.just(sys.maxsize + 5) if both and k <= 8 else st.integers(1, 64))
     masks = data.draw(st.lists(st.integers(0, 2**16), max_size=2))
     mask = 0
     for m in masks:
@@ -54,7 +54,7 @@ def test_periodic_guide_matches_prefix_and_loop_property(data):
         fam = charpair.family(head + "".join(f",xor:{m}" for m in masks), budget)
     else:
         fam = charpair.twist_family(charpair.family_from_seed(seed, budget), mask)
-    assert isinstance(fam.guide, guide.PeriodicGuide) == periodic
+    assert isinstance(fam.guide, guide.PeriodicGuide)
     sources = (fam.guide, guide.GuidePrefix(seed, budget), seed)
     for _ in range(4):
         overspent = data.draw(st.sampled_from([0, 0, 0, 1, 3]))
@@ -82,9 +82,9 @@ def test_periodic_guide_matches_prefix_and_loop_property(data):
             op(source, *args, streams.Fuel(budget + 1))
         refused.append(str(e.value))
     assert refused[0] == refused[1]
-    if periodic:
+    if both:
         loop = [int(b == 1) for b in islice(seed.bits(streams.Fuel(1000)), 200)]
-        wide = guide.PeriodicGuide(seed, *guide.periodic_pattern(seed), 1000)
+        wide = guide.PeriodicGuide(seed, guide.periodic_pattern(seed), 1000)
         ones = sum(loop)
         assert wide.merge(bytes([1] * ones), bytes(200 - ones), streams.Fuel(1000)) == bytes(loop)
 
@@ -103,29 +103,48 @@ def test_periodic_pattern_reads_cycles_and_arithmetic_sets():
     def pattern(encoder, payload):
         return guide.periodic_pattern(charpair.SeedSpec(encoder, payload, "p"))
 
-    assert pattern(encoders.BINS, streams.cycle([1, 0])) == (2, (0,))
-    assert pattern(encoders.BINS, streams.cycle([1.0, False, 0, 1])) == (4, (0, 3))
-    assert pattern(encoders.SET, streams.arith(0, 3)) == (3, (0,))
-    assert pattern(encoders.SET, streams.arith(0, 10**30)) == (10**30, (0,))
-    # Patterns that are not known, or that starve a side.
-    for encoder, payload in [(encoders.BINS, streams.cycle([2, 0])),
-                             (encoders.BINS, streams.cycle([0])),
-                             (encoders.BINS, streams.cycle([1, 1.0])),
-                             (encoders.SET, streams.arith(0, 1)),
-                             (encoders.SET, streams.arith(1, 3)),
+    assert pattern(encoders.BINS, streams.cycle([1, 0])) == 2
+    assert pattern(encoders.BINS, streams.cycle([1.0, False, 0, 1])) == 4
+    assert pattern(encoders.SET, streams.arith(0, 3)) == 3
+    assert pattern(encoders.SET, streams.arith(0, 10**30)) == 10**30
+    # The shape alone gives the period, for patterns that starve a side or hold a bad bit too.
+    assert pattern(encoders.BINS, streams.cycle([2, 0])) == 2
+    assert pattern(encoders.BINS, streams.cycle([0])) == 1
+    assert pattern(encoders.BINS, streams.cycle([1, 1.0])) == 2
+    assert pattern(encoders.SET, streams.arith(0, 1)) == 1
+    # Shapes that say nothing of a period from position 0.
+    for encoder, payload in [(encoders.SET, streams.arith(1, 3)),
                              (encoders.LIST, streams.cycle([1, 0])),
                              (encoders.BINS, streams.arith(0, 2)),
                              (encoders.BINS, streams.from_list([1, 0])),
                              (encoders.BINS, [1, 0])]:
-        assert pattern(encoder, payload) == ()
+        assert pattern(encoder, payload) == 0
 
 
-def test_periodic_guide_needs_both_bits():
-    seed = charpair.preset_seed("arith-set", 1)
-    with pytest.raises(ValueError, match="needs a 0 and a 1"):
-        guide.PeriodicGuide(seed, 1, (0,))
-    with pytest.raises(ValueError, match="needs a 0 and a 1"):
-        guide.PeriodicGuide(seed, 3, ())
+DEGENERATE_CYCLES = [[0], [1], [1, 1.0, True], [0, False], [2, 0], [1, 0, 2], [0.5, 1, 0],
+                     [1, 0, 1, 0, 3]]
+
+
+def test_periodic_guide_over_degenerate_patterns_answers_as_the_loop():
+    # A pattern that starves a side or holds a bad bit fails in the prefix's
+    # _cover, _grow or _fail before any bit is placed, as a plain prefix does.
+    seeds = [charpair.SeedSpec(encoders.BINS, streams.cycle(t), f"cycle {t}")
+             for t in DEGENERATE_CYCLES]
+    seeds.append(charpair.preset_seed("arith-set", 1))
+    calls = [(charpair.generic_pair, xy) for xy in [(0, 0), (1, 0), (0, 1), (5, 3), (2**9, 7)]]
+    calls += [(charpair.generic_unpair, (n,)) for n in (0, 1, 2, 6, 2**9 + 5)]
+    for seed in seeds:
+        for budget in (1, 2, 3, 7, 64, 300):
+            sources = (guide.PeriodicGuide(seed, guide.periodic_pattern(seed), budget),
+                       guide.GuidePrefix(seed, budget), seed)
+            for op, args in calls:
+                for overspent in (0, 2):
+                    answers = []
+                    for source in sources:
+                        fuel = _fuel(budget, seed.label, overspent)
+                        answers.append((outcome(lambda: op(source, *args, fuel)), fuel.remaining))
+                    assert answers[0] == answers[1] == answers[2], \
+                        (seed.label, budget, op.__name__, args)
 
 
 @pytest.mark.parametrize("k", [*LONG_STEPS, 2**70])
@@ -171,13 +190,16 @@ def test_periodic_families_take_the_periodic_guide(spec):
 def test_other_families_keep_the_prefix(tmp_path):
     path = tmp_path / "alternating.bits"
     path.write_text("1 0 " * 50)
-    specs = ["arith-set:1", "squares", "powers2", "syracuse", "bits-of-naturals",
-             f"seed-file:{path}", f"seed-file:{path}:set", "arith-set:1,xor:3"]
+    specs = ["squares", "powers2", "syracuse", "bits-of-naturals",
+             f"seed-file:{path}", f"seed-file:{path}:set"]
     families = [charpair.family(spec) for spec in specs]
-    families += [charpair.family_from_seed(charpair.SeedSpec(encoders.BINS, streams.cycle(t),
-                                                             f"cycle {t}"))
-                 for t in ([0], [1], [2, 0])]
     assert all(type(fam.guide) is guide.GuidePrefix for fam in families)
+    # Shaped seeds that starve a side or hold a bad bit take the periodic source.
+    degenerate = [charpair.family(spec) for spec in ("arith-set:1", "arith-set:1,xor:3")]
+    degenerate += [charpair.family_from_seed(charpair.SeedSpec(encoders.BINS, streams.cycle(t),
+                                                               f"cycle {t}"))
+                   for t in ([0], [1], [2, 0])]
+    assert all(type(fam.guide) is guide.PeriodicGuide for fam in degenerate)
 
 
 PERIODIC_SPECS = ["morton", *(f"arith-set:{k}" for k in range(2, 9)), "arith-set:100",
