@@ -9,9 +9,10 @@ diverge, which fuel turns into a FuelExhausted error instead of a hang.
 
 Guides are routed in three places: bmerge, bsplit (through _route and
 _side, which serve it alone) and the loops of SeedSpec's merge and split.
-generic_pair and generic_unpair call a SeedSpec and a family's guide
-source, a guide.GuidePrefix (a PeriodicGuide when the guide repeats),
-alike; family_from_seed picks the source.
+generic_pair and generic_unpair check their arguments and end in one call
+of the pair or unpair of a SeedSpec or of a family's guide source, a
+guide.GuidePrefix (a PeriodicGuide when the guide repeats): every source
+takes and returns ints. family_from_seed picks a family's source.
   - bmerge's singleton endings emit the last element without consulting the
     guide, and its golden values depend on that; generic_pair's padding must
     respect positions past the end of one side, and generic_unpair delimits
@@ -22,11 +23,15 @@ alike; family_from_seed picks the source.
     without a bytecode cache, it raised the peak memory of importing
     charpair by about 0.5 MB.
   - A family's source may also hold guide.LaneTables, built after the
-    family's second call, which answer the calls they cover charged the
-    positions the source would read. The benchmark's traced pass reads
-    those positions from the fuel handed to generic_pair and
-    generic_unpair, which is why the tables sit behind them and not in the
-    family's closures.
+    family's second call, from which its pair and unpair answer the calls
+    they cover, charged the positions its bit-form path would read. That
+    path, every source's otherwise, is this module's codec (_nat_to_bits
+    and _bits_to_nat) around the source's merge or split, through
+    SeedSpec.codec_pair and codec_unpair. The benchmark's traced pass
+    reads each call's positions from the fuel handed to generic_pair and
+    generic_unpair, and times the codec by replacing it here, which is
+    why the tables sit behind those two and every source converts through
+    this module.
   - Every reader but the lazy bmerge, which meters each bit it reads,
     charges by one rule what metering each pull would charge: SeedSpec's
     merge and split and a GuidePrefix read their guide unmetered, to at
@@ -44,7 +49,6 @@ from dataclasses import dataclass
 from itertools import chain, count, islice, tee
 from math import isqrt
 from pathlib import Path
-from typing import ClassVar
 
 from . import encoders, nadic, streams
 from .errors import (
@@ -56,7 +60,6 @@ from .errors import (
     ZeroArgument,
 )
 from .guide import (
-    CAP,
     UNDELIMITED,
     UNPLACED,
     GuidePrefix,
@@ -65,10 +68,6 @@ from .guide import (
     lane_tables,
     periodic_pattern,
 )
-
-# A family's lane tables answer unpair(n) for n below this.
-_TABLE_SPAN = 1 << CAP
-
 
 def _nat_to_bits(n: int) -> bytes:
     """The bit form of n, a byte 0 or 1 a bit: b"\\x00" for zero, else
@@ -198,8 +197,7 @@ class SeedSpec:
     encoder: encoders.Encoder
     payload: object
     label: str
-    budget: ClassVar[int] = streams.DEFAULT_FUEL
-    tables: ClassVar[None] = None  # only a family's guide source holds lane tables
+    budget = streams.DEFAULT_FUEL  # a class attribute, not a field
 
     def bits(self, fuel: streams.Fuel) -> Iterator[int]:
         """Instantiate the guide as a fuel-metered bit iterator."""
@@ -274,6 +272,28 @@ class SeedSpec:
             fuel.spend(read)
         raise exhausted(self.label, read, UNDELIMITED)
 
+    def pair(self, x: int, y: int, fuel: streams.Fuel) -> int:
+        """generic_pair(self, x, y, fuel), for naturals x and y, by merge."""
+        return self.codec_pair(self, x, y, fuel)
+
+    def unpair(self, n: int, fuel: streams.Fuel) -> tuple[int, int]:
+        """generic_unpair(self, n, fuel), for a natural n, by split."""
+        return self.codec_unpair(self, n, fuel)
+
+    # A guide source that no lane table serves answers through these two, with its own
+    # merge or split, so that every bit form is converted by this module's codec: the
+    # benchmark's traced pass times the codec by replacing these module attributes.
+    @staticmethod
+    def codec_pair(source, x: int, y: int, fuel: streams.Fuel) -> int:
+        """The bit forms of x and y, placed by source.merge and read back."""
+        return _bits_to_nat(source.merge(_nat_to_bits(x), _nat_to_bits(y), fuel))
+
+    @staticmethod
+    def codec_unpair(source, n: int, fuel: streams.Fuel) -> tuple[int, int]:
+        """The bit form of n, routed by source.split, each side read back."""
+        ones, zeros = source.split(_nat_to_bits(n), fuel)
+        return _bits_to_nat(ones), _bits_to_nat(zeros)
+
 
 # -- the generic construction ------------------------------------------------------
 
@@ -288,11 +308,12 @@ def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
     a leftover bit early would land it on the other side's positions and
     break invertibility whenever the guide has runs longer than one.
 
-    The seed's merge places the bits: a SeedSpec reads its guide from
-    position 0, a GuidePrefix slices its runs and a PeriodicGuide its
-    pattern positions, with the same results and errors. When the source
-    holds lane tables that cover x and y, they answer instead, charged the
-    same positions. Without fuel, the call gets the seed's budget. Raises
+    The seed's pair answers, after x and y are checked: it places the bit
+    forms with its merge, where a SeedSpec reads its guide from position 0,
+    a GuidePrefix slices its runs and a PeriodicGuide its pattern
+    positions, with the same results and errors; a GuidePrefix whose lane
+    tables cover x and y answers from them, charged the same positions.
+    Without fuel, the call gets the seed's budget. Raises
     FuelExhausted if the seed starves one side (no finite blocks),
     GuideExhausted if a finite seed runs out, and ZeroArgument if x or y is
     not a natural.
@@ -300,10 +321,7 @@ def generic_pair(seed: SeedSpec | GuidePrefix, x: int, y: int,
     x, y = nadic.naturals("pair", x, y)
     if fuel is None:
         fuel = streams.Fuel(seed.budget, label=f"seed {seed.label}")
-    tables = seed.tables
-    if tables and x < tables.limit and y < tables.limit:
-        return tables.pair(x, y, fuel)
-    return _bits_to_nat(seed.merge(_nat_to_bits(x), _nat_to_bits(y), fuel))
+    return seed.pair(x, y, fuel)
 
 
 def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
@@ -315,18 +333,15 @@ def generic_unpair(seed: SeedSpec | GuidePrefix, n: int,
     complete once the guide routes it a first beyond-payload bit -- so the
     guide must keep offering both ones and zeros, and a seed that never again
     yields one of them diverges (caught by fuel) exactly like the merge
-    direction does. The seed's split routes the bits, from either source
-    alike, or the source's lane tables answer when they cover n, charged
-    the same positions; without fuel the call gets the seed's budget.
+    direction does. The seed's unpair answers, after n is checked: its split
+    routes the bits, from any source alike, or a GuidePrefix's lane tables
+    answer when they cover n, charged the same positions. Without fuel the
+    call gets the seed's budget.
     """
     n = nadic.natural("unpair", n)
     if fuel is None:
         fuel = streams.Fuel(seed.budget, label=f"seed {seed.label}")
-    tables = seed.tables
-    if tables and n < _TABLE_SPAN:
-        return tables.unpair(n, fuel)
-    ones, zeros = seed.split(_nat_to_bits(n), fuel)
-    return _bits_to_nat(ones), _bits_to_nat(zeros)
+    return seed.unpair(n, fuel)
 
 
 # -- named families ----------------------------------------------------------------
@@ -371,9 +386,10 @@ def family_from_seed(seed: SeedSpec, fuel_budget: int = streams.DEFAULT_FUEL) ->
     Once the family's second call has returned or raised, so that the call
     is answered the way it always was, that call, and only that call even
     when threads race, builds the source's guide.LaneTables, unless the
-    budget or the guide allows none; no call tries again. generic_pair and
-    generic_unpair answer from the tables from then on where they can. A
-    family called once builds nothing.
+    budget or the guide allows none; no call tries again. The source's pair
+    and unpair, which generic_pair and generic_unpair call, answer from the
+    tables from then on where they can. A family called once builds
+    nothing.
     """
     fuel_budget = _budget(fuel_budget)
     period = periodic_pattern(seed)

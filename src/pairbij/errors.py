@@ -33,6 +33,14 @@ class ZeroArgument(PairbijError):
     """The operation is only defined on positive naturals."""
 
 
+class NotAnInteger(ZeroArgument, TypeError):
+    """A value that must be a natural is not an integer at all.
+
+    It is a TypeError too, which is what Python raises on such a value, so a
+    caller that caught that still catches this.
+    """
+
+
 class NotNonDecreasing(PairbijError):
     """Multiset input must be a non-decreasing sequence."""
 

@@ -6,13 +6,16 @@ instead (charpair.family_from_seed picks it), which routes bits by whole
 runs; over a seed whose shape says its guide repeats from position 0
 (periodic_pattern), it is a PeriodicGuide, which places bits with one
 extended slice per pattern position. charpair.generic_pair and
-generic_unpair call all of them alike, with bit forms as bytes only;
+generic_unpair call the pair and unpair of all of them alike, which take
+and return ints; merge and split take bit forms as bytes only, and
 GuidePrefix.layout gives the positions a split routes to each side. A
 family's source may hold LaneTables in `tables`, which its family sets
-after its second call (see lane_tables): generic_pair and generic_unpair
-then answer pair(x, y) for x, y < 2**W and unpair(n) for n < 2**CAP from
-them, with no bit form, charged the positions the source would read; the
-source answers the rest, and stays the oracle the tables are tested against.
+after its second call (see lane_tables): its pair and unpair then answer
+pair(x, y) for x, y < 2**W and unpair(n) for n < 2**CAP from them, with
+no bit form, charged the positions its merge or split would read. The
+rest go through the seed's bit codec (charpair.SeedSpec.codec_pair and
+codec_unpair) around merge or split, the oracle the tables are tested
+against.
 """
 
 import copy
@@ -126,6 +129,24 @@ class GuidePrefix:
         if isinstance(stop, StopIteration):
             raise exhausted(self.label, n, what)
         raise copy.copy(stop)  # each call raises its own
+
+    def pair(self, x: int, y: int, fuel: streams.Fuel) -> int:
+        """generic_pair(self, x, y, fuel), for naturals x and y: from the lane
+        tables when they cover both, else by the seed's codec around merge."""
+        _check_fuel(self, fuel)
+        tables = self.tables
+        if tables and x < tables.limit and y < tables.limit:
+            return tables.pair(x, y, fuel)
+        return self.seed.codec_pair(self, x, y, fuel)
+
+    def unpair(self, n: int, fuel: streams.Fuel) -> tuple[int, int]:
+        """generic_unpair(self, n, fuel), for a natural n: from the lane tables
+        when n < 2**CAP, else by the seed's codec around split."""
+        _check_fuel(self, fuel)
+        tables = self.tables
+        if tables and n.bit_length() <= CAP:
+            return tables.unpair(n, fuel)
+        return self.seed.codec_unpair(self, n, fuel)
 
     def merge(self, xs: bytes, ys: bytes, fuel: streams.Fuel) -> bytearray:
         """The bits generic_pair places: xs on the guide's ones, ys on its zeros.
@@ -325,12 +346,11 @@ class LaneTables:
     fuel. Nothing changes after construction.
     """
 
-    __slots__ = ("limit", "_source", "_px", "_py", "_ux", "_uy", "_x_reads", "_y_reads", "_reads")
+    __slots__ = ("limit", "_px", "_py", "_ux", "_uy", "_x_reads", "_y_reads", "_reads")
 
-    def __init__(self, source, ones: list[int], zeros: list[int], reads: list[int]):
+    def __init__(self, ones: list[int], zeros: list[int], reads: list[int]):
         w = min(len(ones), len(zeros))
         self.limit = 1 << w
-        self._source = source
         self._px = _lanes([1 << p for p in ones[:w]])
         self._py = _lanes([1 << p for p in zeros[:w]])
         self._ux, self._uy = map(_lanes, extract_targets(ones, zeros))
@@ -342,14 +362,12 @@ class LaneTables:
 
     def pair(self, x: int, y: int, fuel: streams.Fuel) -> int:
         """generic_pair(source, x, y, fuel) for ints 0 <= x, y < limit."""
-        _check_fuel(self._source, fuel)
         fuel.spend(max(self._x_reads[x.bit_length()], self._y_reads[y.bit_length()]))
         return (sum(map(getitem, self._px, ("%x" % x)[::-1].encode().translate(_HEX_DIGITS)))
                 + sum(map(getitem, self._py, ("%x" % y)[::-1].encode().translate(_HEX_DIGITS))))
 
     def unpair(self, n: int, fuel: streams.Fuel) -> tuple[int, int]:
         """generic_unpair(source, n, fuel) for ints 0 <= n < 2**CAP."""
-        _check_fuel(self._source, fuel)
         fuel.spend(self._reads[n.bit_length()])
         lanes = ("%x" % n)[::-1].encode().translate(_HEX_DIGITS)
         return sum(map(getitem, self._ux, lanes)), sum(map(getitem, self._uy, lanes))
@@ -379,4 +397,4 @@ def lane_tables(source, budget: int) -> LaneTables | None:
     reads = list(chain.from_iterable(map(repeat, [s + 1 for s in starts[1:]],
                                          map(sub, starts[1:], starts))))
     reads[0] = reads[1]  # the bit form of 0 is one bit long, as is that of 1
-    return LaneTables(source, ones, zeros, reads[:CAP + 1])
+    return LaneTables(ones, zeros, reads[:CAP + 1])

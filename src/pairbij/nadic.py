@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from itertools import islice
 from operator import index
 
-from .errors import InvalidBase, PairbijError, ZeroArgument
+from .errors import InvalidBase, NotAnInteger, PairbijError, ZeroArgument
 
 
 def check_base(b: int) -> None:
@@ -72,6 +72,11 @@ def naturals(op: str, x, y) -> tuple[int, int]:
 
 def _too_large(b: int, x: int) -> PairbijError:
     return PairbijError(f"{b}**{x} has more than sys.maxsize bits, more than any int can hold")
+
+
+def _not_an_int(x, y: int) -> NotAnInteger:
+    """The error of a fold whose next element x, to cons onto y, is not an int."""
+    return NotAnInteger(f"cons is defined on naturals, got x={x!r}, y={y}")
 
 
 def cons(b: int, x: int, y: int) -> int:
@@ -192,20 +197,27 @@ def nat_to_nats(b: int, n: int) -> list[int]:
 def nats_to_nat(b: int, xs: Iterable[int]) -> int:
     """Fold a finite list back into a natural; inverse of nat_to_nats.
 
-    For b = 2 the fold inlines cons as one shift per element.
+    For b = 2 the fold inlines cons as one shift per element. A negative
+    element raises ZeroArgument as cons does, and one that is not an int
+    NotAnInteger, with y the value folded so far.
     """
     b = base(b)
     n = 0
+    vals = reversed(list(xs))  # outside the try below, whose TypeError is an element's
     if b == 2:
         try:
-            for x in reversed(list(xs)):
+            for x in vals:
                 if x < 0:
                     raise ZeroArgument(f"cons is defined on naturals, got x={x}, y={n}")
                 n = (2 * n + 1) << x
         except OverflowError:  # x past sys.maxsize
             raise _too_large(b, x) from None
+        except TypeError:  # x is no int, as the shift or the comparison found
+            raise _not_an_int(x, n) from None
         return n
-    for x in reversed(list(xs)):
+    for x in vals:
+        if not isinstance(x, int):
+            raise _not_an_int(x, n)
         n = cons(b, x, n)
     return n
 
@@ -231,7 +243,7 @@ def nat_to_nats_mixed(bases: Iterable[int], n: int) -> list[int]:
             b = next(bs)
         except StopIteration:
             raise InvalidBase("base stream ended before the expansion finished") from None
-        x, n = decons(b, n)
+        x, n = decons(base(b), n)
         out.append(x)
     return out
 
@@ -244,5 +256,7 @@ def nats_to_nat_mixed(bases: Iterable[int], xs: Iterable[int]) -> int:
         raise InvalidBase("base stream ended before the fold finished")
     n = 0
     for b, x in zip(reversed(bs), reversed(vals)):
-        n = cons(b, x, n)
+        if not isinstance(x, int):
+            raise _not_an_int(x, n)
+        n = cons(base(b), x, n)
     return n

@@ -1,5 +1,6 @@
 """The lane tables a guide family builds on its second call, against the generic construction."""
 
+import copy
 from itertools import count
 from unittest import mock
 
@@ -232,3 +233,57 @@ def test_lane_table_doubles_targets():
     assert guide.lane_table([1, 0, 4]) == [0, 1, 0, 1, 4, 5, 4, 5]
     xt, yt = guide.extract_targets([0, 3], [1, 2])
     assert (xt, yt) == ([1, 0, 0, 2], [0, 1, 2, 0])
+
+
+def _metered(call, fuel: streams.Fuel) -> tuple:
+    """The outcome of call(f), as its repr, and the fuel f leaves, f a copy of fuel."""
+    f = copy.copy(fuel)
+    return repr(_outcome(lambda: call(f))), f.remaining
+
+
+def _sources(seed: charpair.SeedSpec, budget: int) -> list:
+    """The seed, and each guide source over it without lane tables and with any it gets."""
+    period = guide.periodic_pattern(seed)
+    sources = [seed]
+    for make in [lambda: guide.GuidePrefix(seed, budget)] + (
+            [lambda: guide.PeriodicGuide(seed, period, budget)] if period else []):
+        bare, tabled = make(), make()
+        tabled.tables = guide.lane_tables(tabled, budget)
+        sources += [bare, tabled]
+    return sources
+
+
+@pytest.mark.parametrize("spec, budget", [
+    *((spec, budget) for spec in ("morton", "squares", "bits-of-naturals", "arith-set:3")
+      for budget in (258, streams.DEFAULT_FUEL)),
+    ("arith-set:1", 258), ("arith-set:1", 2000),  # it starves: each call reads the budget
+    (None, streams.DEFAULT_FUEL),  # _raising_seed
+])
+def test_source_entries_answer_as_generic_over_the_seed(spec, budget):
+    # Each source's own pair and unpair, called directly, against generic_pair and
+    # generic_unpair over the plain seed, on both sides of the tables' limits, with
+    # fresh fuel, fuel of exactly the positions the call reads (and one less), and
+    # fuel spent past its budget before the call.
+    seed = charpair.family(spec).guide.seed if spec else _raising_seed()
+    sources = _sources(seed, budget)
+    if budget == streams.DEFAULT_FUEL and spec:
+        assert all(s.tables for s in sources[2::2])
+    w = _width(seed)
+    edges = [0, 1, (1 << w) - 1, 1 << w, 1 << w | 5]
+    calls = [("pair", (x, y)) for x in edges for y in edges]
+    calls += [("unpair", (n,)) for n in (0, 6, 2**CAP - 1, 2**CAP, 2**CAP + 3)]
+    label = f"seed {seed.label}"
+    for name, args in calls:
+        generic = getattr(charpair, f"generic_{name}")
+        fresh = streams.Fuel(budget, label=label)
+        _outcome(lambda: generic(seed, *args, fresh))
+        reads = max(budget - max(fresh.remaining, 0), 1)
+        overspent = streams.Fuel(budget, label=label)
+        with pytest.raises(FuelExhausted):
+            overspent.tick(budget + 2)
+        fuels = [streams.Fuel(k, label=label) for k in (budget, reads, max(reads - 1, 1))]
+        for fuel in [*fuels, overspent]:
+            answers = {_metered(lambda f: getattr(source, name)(*args, f), fuel)
+                       for source in sources}
+            assert answers == {_metered(lambda f: generic(seed, *args, f), fuel)}, \
+                (name, args, fuel.budget, fuel.remaining)

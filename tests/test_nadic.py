@@ -1,3 +1,5 @@
+from itertools import repeat
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -340,6 +342,26 @@ def test_base2_negative_element_message(call, message):
 
 
 @pytest.mark.parametrize("call, message", [
+    (lambda: nadic.nats_to_nat(2, [1.5]), "cons is defined on naturals, got x=1.5, y=0"),
+    (lambda: nadic.nats_to_nat(2, [3, "2", 1]), "cons is defined on naturals, got x='2', y=2"),
+    (lambda: nadic.nats_to_nat(2, [None]), "cons is defined on naturals, got x=None, y=0"),
+    (lambda: nadic.nats_to_nat(3, [1.5]), "cons is defined on naturals, got x=1.5, y=0"),
+    (lambda: nadic.nats_to_nat(3, [2.0, 0]), "cons is defined on naturals, got x=2.0, y=1"),
+    (lambda: nadic.nats_to_nat_mixed([3, 2], [1, 2.0]),
+     "cons is defined on naturals, got x=2.0, y=0"),
+    (lambda: nadic.nats_to_nat_mixed([2, 3], ["1", 0]),
+     "cons is defined on naturals, got x='1', y=1"),
+], ids=["base2", "base2-str", "base2-none", "base3", "base3-later", "mixed", "mixed-later"])
+def test_fold_refuses_a_non_integer_element(call, message):
+    # unchecked, nats_to_nat(3, [1.5]) returned the float 5.196... and
+    # nats_to_nat(2, [1.5]) raised a bare TypeError from the shift
+    with pytest.raises(ZeroArgument) as e:
+        call()
+    assert str(e.value) == message
+    assert isinstance(e.value, TypeError)  # as Python's own refusal of such a value is
+
+
+@pytest.mark.parametrize("call, message", [
     (lambda: nadic.pair(3, 2.0, 1), "pair is defined on naturals, got x=2.0, y=1"),
     (lambda: nadic.pair(2, 1, "3"), "pair is defined on naturals, got x=1, y='3'"),
     (lambda: nadic.unpair(3, 5.0), "unpair is defined on naturals, got 5.0"),
@@ -376,11 +398,16 @@ def test_cold_entries_refuse_a_non_integer(call, message):
     lambda b: encoders.nadic_nat(b),
     lambda b: nadic.bij(3, b, 9),
     lambda b: nadic.bij(b, 3, 9),
-], ids=["nat_to_nats", "nats_to_nat", "unpair_columns", "nadic_nat", "bij-to", "bij-from"])
+    lambda b: nadic.nat_to_nats_mixed(repeat(b), 40),
+    lambda b: nadic.nats_to_nat_mixed(repeat(b), [1, 0]),
+], ids=["nat_to_nats", "nats_to_nat", "unpair_columns", "nadic_nat", "bij-to", "bij-from",
+        "nat_to_nats_mixed", "nats_to_nat_mixed"])
 @pytest.mark.parametrize("b", [2.5, 2.0, "3", None])
 def test_cold_entries_refuse_a_non_integer_base(call, b):
     # unchecked, nat_to_nats(2.5, 9) and nadic_nat(2.5).forward(9) returned [0, 1, 0],
-    # bij(3, 2.5, 9) raised AttributeError and unpair_columns(2.5, 0, 4) a bare TypeError
+    # bij(3, 2.5, 9) raised AttributeError and unpair_columns(2.5, 0, 4) a bare TypeError;
+    # nat_to_nats_mixed(repeat(2.5), 40) returned [1, 0, 1, 0], and nats_to_nat_mixed
+    # raised AttributeError on a base of 3.0 and TypeError on "3"
     with pytest.raises(InvalidBase) as e:
         call(b)
     assert str(e.value) == f"valuation base must be an integer, got {b!r}"
