@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 LANES = "tests/test_lane_tables.py"
 ENTRIES = f"{LANES}::test_source_entries_answer_as_generic_over_the_seed"
 CHARPAIR = "tests/test_charpair.py"
+CLI = "tests/test_cli.py"
 
 MUTANTS = [
     # a source's entries answer from its lane tables only within their limits
@@ -83,6 +84,22 @@ MUTANTS = [
     Mutant("loop merge charges one more", "charpair.py",
            "            fuel.spend(len(merged))",
            "            fuel.spend(len(merged) + 1)", (CHARPAIR,)),
+    Mutant("lanes of 3 bits", "guide.py",
+           "    return [lane_table(targets[i:i + 4]) for i in range(0, len(targets), 4)]",
+           "    return [lane_table(targets[i:i + 3]) for i in range(0, len(targets), 4)]", (ENTRIES,)),
+    Mutant("curve tables one bit short", "cli.py",
+           "    tx, ty = (lane_table(t[:_BLOCK_BITS]) for t in extract_targets(*layout))",
+           "    tx, ty = (lane_table(t[:_BLOCK_BITS - 1]) for t in extract_targets(*layout))",
+           (CLI,)),
+    Mutant("curve x values one short", "cli.py",
+           "    vx, vy = range(tx[-1] + 1), range(ty[-1] + 1)",
+           "    vx, vy = range(tx[-1]), range(ty[-1] + 1)", (CLI,)),
+    Mutant("curve block starts one early", "cli.py",
+           "            x, y = fam.unpair(ns.start)",
+           "            x, y = fam.unpair(ns.start - 1)", (CLI,)),
+    Mutant("curve failure search skips the top power", "cli.py",
+           "        for w in range(length):",
+           "        for w in range(length - 1):", (CLI,)),
     Mutant("base-2 decons keeps the one", "nadic.py",
            "        return x, z >> (x + 1)",
            "        return x, z >> x", ("tests/test_nadic.py",)),
