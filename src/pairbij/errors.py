@@ -34,7 +34,8 @@ class ZeroArgument(PairbijError):
 
 
 class NotAnInteger(ZeroArgument, TypeError):
-    """A value that must be a natural is not an integer at all.
+    """A value that must be a natural is not an integer at all, or one that
+    must be an iterable (of naturals, or of bases) is not iterable.
 
     It is a TypeError too, which is what Python raises on such a value, so a
     caller that caught that still catches this.

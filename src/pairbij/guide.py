@@ -16,14 +16,20 @@ no bit form, charged the positions its merge or split would read. The
 rest go through the seed's bit codec (charpair.SeedSpec.codec_pair and
 codec_unpair) around merge or split, the oracle the tables are tested
 against.
+
+What a call reads, and so is charged, is stated once per direction, as a
+step on bit lengths alone: GuidePrefix._merge_reach for merge and
+_split_reach for split (through _delimit, for split and layout). The lane
+tables' charge lists are those steps' answers, so they keep no rule of
+their own.
 """
 
 import copy
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice, repeat
-from operator import getitem, sub
+from itertools import chain, islice
+from operator import getitem
 
 from . import encoders, streams
 from .errors import GuideExhausted
@@ -134,8 +140,7 @@ class GuidePrefix:
         """generic_pair(self, x, y, fuel), for naturals x and y: from the lane
         tables when they cover both, else by the seed's codec around merge."""
         _check_fuel(self, fuel)
-        tables = self.tables
-        if tables and x < tables.limit and y < tables.limit:
+        if (tables := self.tables) and x < tables.limit and y < tables.limit:
             return tables.pair(x, y, fuel)
         return self.seed.codec_pair(self, x, y, fuel)
 
@@ -143,8 +148,7 @@ class GuidePrefix:
         """generic_unpair(self, n, fuel), for a natural n: from the lane tables
         when n < 2**CAP, else by the seed's codec around split."""
         _check_fuel(self, fuel)
-        tables = self.tables
-        if tables and n.bit_length() <= CAP:
+        if (tables := self.tables) and n.bit_length() <= CAP:
             return tables.unpair(n, fuel)
         return self.seed.codec_unpair(self, n, fuel)
 
@@ -161,19 +165,29 @@ class GuidePrefix:
         # has it; a guide that stops at position 0 gives [] only if it ended.
         if o < lx or n - o < ly or not n and not isinstance(stop, StopIteration):
             self._fail(n, stop, fuel, UNPLACED)
+        end, n1, last = self._merge_reach(lx, ly, runs, n)
+        fuel.spend(end)
+        return self._place(xs + bytes(n1 - lx), ys + bytes(end - n1 - ly), last, end)
+
+    def _merge_reach(self, lx: int, ly: int, runs: int, n: int) -> tuple[int, int, int]:
+        """The reach of a merge of an lx-bit and an ly-bit form: the positions
+        it reads, which it is charged, x's count once padded, and the run of
+        its last position. It looks at the first `runs` runs and `n` positions
+        only, which must hold the guide's lx-th one and ly-th zero, or all the
+        guide has.
+
+        The later of those two positions ends the call, and each side is
+        padded to its count before it. An empty side needs no position, but
+        the call reads one if the guide has it.
+        """
         ones, zeros = self._ones, self._zeros
-        # The runs of the guide's lx-th one and ly-th zero, and their positions (the ones
-        # and zeros before them); searched from run 1, an empty side finds run 0 and -1.
-        # The later position ends the call; each side is padded to its count before it.
+        # The runs of the lx-th one and the ly-th zero, and their positions (the ones and
+        # zeros before them); searched from run 1, an empty side finds run 0 and -1.
         r1 = bisect_right(ones, lx - 1, 1, runs) - 1
         r0 = bisect_right(zeros, ly - 1, 1, runs) - 1
         p1, p0 = zeros[r1] + lx - 1, ones[r0] + ly - 1
         end = min(max(p1, p0, 0) + 1, n)
-        fuel.spend(end)
-        n1 = lx if p1 > p0 else end - ly
-        xs = xs + bytes(n1 - lx)
-        ys = ys + bytes(end - n1 - ly)
-        return self._place(xs, ys, max(r1, r0), end)
+        return end, lx if p1 > p0 else end - ly, max(r1, r0)
 
     def _place(self, xs: bytes, ys: bytes, last: int, end: int) -> bytearray:
         """The first `end` positions, up to run `last`: run 2i draws from xs and run
@@ -204,11 +218,23 @@ class GuidePrefix:
         """The run holding position `length`, once the guide delimits both sides
         past it; charged as split charges a payload of `length` bits."""
         runs, known, _, stop = self._cover(0, 0, length, fuel)
-        after = bisect_right(self._starts, length, 0, runs)
-        if after == runs:
+        last, reach = self._split_reach(length, runs)
+        if not reach:
             self._fail(known, stop, fuel, UNDELIMITED)
-        fuel.spend(self._starts[after] + 1)
-        return after - 1
+        fuel.spend(reach)
+        return last
+
+    def _split_reach(self, length: int, runs: int) -> tuple[int, int]:
+        """The run holding position `length`, and the positions a split of
+        `length` bits reads, which it is charged, over the first `runs` runs;
+        0 positions when none of those runs starts past it.
+
+        Position `length` delimits one side, and the start of the next run
+        the other: the split reads on to that start, plus 1. So the positions
+        in a run each charge the next run's start, plus 1.
+        """
+        after = bisect_right(self._starts, length, 0, runs)
+        return after - 1, self._starts[after] + 1 if after < runs else 0
 
     def _positions(self, last: int, stop: int) -> tuple[list[int], list[int]]:
         """The one-positions and zero-positions below `stop` in runs 0 to `last`."""
@@ -313,13 +339,11 @@ def extract_targets(ones: list[int], zeros: list[int]) -> tuple[list[int], list[
     """The bit of x and the bit of y that each position 0..L-1 sets in unpair,
     given the positions below L that GuidePrefix.layout gives the guide's ones
     and its zeros: the j-th one sets bit j of x, the j-th zero bit j of y."""
-    xt = [0] * (len(ones) + len(zeros))
-    yt = xt.copy()
-    for j, p in enumerate(ones):
-        xt[p] = 1 << j
-    for j, p in enumerate(zeros):
-        yt[p] = 1 << j
-    return xt, yt
+    targets = [0] * (len(ones) + len(zeros)), [0] * (len(ones) + len(zeros))
+    for side, positions in zip(targets, (ones, zeros)):
+        for j, p in enumerate(positions):
+            side[p] = 1 << j
+    return targets
 
 
 def _lanes(targets: list[int]) -> list[list[int]]:
@@ -341,24 +365,25 @@ class LaneTables:
     sum.
 
     Each call is charged the positions the source's merge or split would
-    read, kept per bit length, after the source's check of the fuel, so it
-    fails as the source does, with the same error, and leaves the same
-    fuel. Nothing changes after construction.
+    read, after the source's check of the fuel, so it fails as the source
+    does, with the same error, and leaves the same fuel. The charges come
+    in three lists, indexed by bit length, which lane_tables fills from the
+    source's reach steps: what a merge reads for a k-bit x beside an empty
+    y, and for a k-bit y beside an empty x, for k <= W (a merge reads on to
+    the later of the two, so pair is charged the larger), and what a split
+    of k bits reads, for k <= CAP. The tables keep no charge rule of their
+    own. Nothing changes after construction.
     """
 
     __slots__ = ("limit", "_px", "_py", "_ux", "_uy", "_x_reads", "_y_reads", "_reads")
 
-    def __init__(self, ones: list[int], zeros: list[int], reads: list[int]):
+    def __init__(self, ones: list[int], zeros: list[int], *reads: list[int]):
         w = min(len(ones), len(zeros))
         self.limit = 1 << w
         self._px = _lanes([1 << p for p in ones[:w]])
         self._py = _lanes([1 << p for p in zeros[:w]])
         self._ux, self._uy = map(_lanes, extract_targets(ones, zeros))
-        # merge reads on to the later of x's last one and y's last zero; the
-        # bit form of 0 is [0], one bit long, as is that of 1
-        self._x_reads = [ones[max(k, 1) - 1] + 1 for k in range(w + 1)]
-        self._y_reads = [zeros[max(k, 1) - 1] + 1 for k in range(w + 1)]
-        self._reads = reads  # reads[k]: the positions split reads for a payload of k bits
+        self._x_reads, self._y_reads, self._reads = reads
 
     def pair(self, x: int, y: int, fuel: streams.Fuel) -> int:
         """generic_pair(source, x, y, fuel) for ints 0 <= x, y < limit."""
@@ -383,9 +408,11 @@ def lane_tables(source, budget: int) -> LaneTables | None:
     one or no zero below CAP, there are none, and the error is left to the
     calls that reach it.
 
-    A split of a payload of k bits reads on to the start of the run after
-    position k, so the positions in a run each charge the next run's start,
-    plus 1; the layout has read the runs through the one after position CAP.
+    The charge lists come from the source's own reach steps,
+    GuidePrefix._merge_reach and _split_reach, called at max(k, 1) bits for
+    each bit length k: the bit form of 0 is one bit long, as is that of 1.
+    The layout has read the runs through the one after position CAP, which
+    hold every position those steps look at.
     """
     try:
         ones, zeros = source.layout(CAP, streams.Fuel(budget))
@@ -393,8 +420,9 @@ def lane_tables(source, budget: int) -> LaneTables | None:
         return None
     if not (ones and zeros):
         return None
-    starts = source._starts[:bisect_right(source._starts, CAP) + 1]
-    reads = list(chain.from_iterable(map(repeat, [s + 1 for s in starts[1:]],
-                                         map(sub, starts[1:], starts))))
-    reads[0] = reads[1]  # the bit form of 0 is one bit long, as is that of 1
-    return LaneTables(ones, zeros, reads[:CAP + 1])
+    runs, n = source._state[:2]  # they hold the run after position CAP
+    bits = [max(k, 1) for k in range(CAP + 1)]  # the bit form of 0 is one bit long
+    w = min(len(ones), len(zeros))
+    return LaneTables(ones, zeros, [source._merge_reach(k, 0, runs, n)[0] for k in bits[:w + 1]],
+                      [source._merge_reach(0, k, runs, n)[0] for k in bits[:w + 1]],
+                      [source._split_reach(k, runs)[1] for k in bits])

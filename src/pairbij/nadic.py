@@ -9,7 +9,7 @@ the result exponentially, so results grow huge by design.
 """
 
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import islice
 from operator import index
 
@@ -72,6 +72,15 @@ def naturals(op: str, x, y) -> tuple[int, int]:
 
 def _too_large(b: int, x: int) -> PairbijError:
     return PairbijError(f"{b}**{x} has more than sys.maxsize bits, more than any int can hold")
+
+
+def _iterate(op: str, what: str, values) -> Iterator:
+    """iter(values), or NotAnInteger naming op's argument `what` when values
+    is not iterable. The folds call it once per call, never per element."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise NotAnInteger(f"{op}'s {what} must be an iterable, not {type(values).__name__}") from None
 
 
 def _not_an_int(x, y: int) -> NotAnInteger:
@@ -203,7 +212,8 @@ def nats_to_nat(b: int, xs: Iterable[int]) -> int:
     """
     b = base(b)
     n = 0
-    vals = reversed(list(xs))  # outside the try below, whose TypeError is an element's
+    # outside the try below, whose TypeError is an element's
+    vals = reversed(list(_iterate("nats_to_nat", "xs", xs)))
     if b == 2:
         try:
             for x in vals:
@@ -237,7 +247,7 @@ def nat_to_nats_mixed(bases: Iterable[int], n: int) -> list[int]:
     """
     n = natural("nat_to_nats_mixed", n)
     out = []
-    bs = iter(bases)
+    bs = _iterate("nat_to_nats_mixed", "bases", bases)
     while n > 0:
         try:
             b = next(bs)
@@ -250,8 +260,8 @@ def nat_to_nats_mixed(bases: Iterable[int], n: int) -> list[int]:
 
 def nats_to_nat_mixed(bases: Iterable[int], xs: Iterable[int]) -> int:
     """Inverse of nat_to_nats_mixed against the same base stream."""
-    vals = list(xs)
-    bs = list(islice(bases, len(vals)))
+    vals = list(_iterate("nats_to_nat_mixed", "xs", xs))
+    bs = list(islice(_iterate("nats_to_nat_mixed", "bases", bases), len(vals)))
     if len(bs) < len(vals):
         raise InvalidBase("base stream ended before the fold finished")
     n = 0

@@ -43,18 +43,28 @@ CLI = "tests/test_cli.py"
 MUTANTS = [
     # a source's entries answer from its lane tables only within their limits
     Mutant("pair table bound <=", "guide.py",
-           "        if tables and x < tables.limit and y < tables.limit:",
-           "        if tables and x <= tables.limit and y < tables.limit:", (ENTRIES,)),
+           "        if (tables := self.tables) and x < tables.limit and y < tables.limit:",
+           "        if (tables := self.tables) and x <= tables.limit and y < tables.limit:",
+           (ENTRIES,)),
     Mutant("pair table bounds or", "guide.py",
-           "        if tables and x < tables.limit and y < tables.limit:",
-           "        if tables and (x < tables.limit or y < tables.limit):", (ENTRIES,)),
+           "        if (tables := self.tables) and x < tables.limit and y < tables.limit:",
+           "        if (tables := self.tables) and (x < tables.limit or y < tables.limit):",
+           (ENTRIES,)),
     # (<= CAP - 1 would only send 256-bit n to the codec, which answers alike)
     Mutant("unpair table bound past CAP", "guide.py",
-           "        if tables and n.bit_length() <= CAP:",
-           "        if tables and n.bit_length() <= CAP + 1:", (ENTRIES,)),
-    Mutant("no reads[0] line", "guide.py",
-           "    reads[0] = reads[1]  # the bit form of 0 is one bit long, as is that of 1",
-           "    pass", (ENTRIES,)),
+           "        if (tables := self.tables) and n.bit_length() <= CAP:",
+           "        if (tables := self.tables) and n.bit_length() <= CAP + 1:", (ENTRIES,)),
+    # the tables charge 0 as the codec's one-bit form of 0, not as 0 bits
+    Mutant("tables charge 0 as 0 bits", "guide.py",
+           "    bits = [max(k, 1) for k in range(CAP + 1)]  # the bit form of 0 is one bit long",
+           "    bits = list(range(CAP + 1))", (ENTRIES,)),
+    # a wrong bit in the lane tables and the curve walk's tables, at a position
+    # only inputs of 12 bits or more reach
+    Mutant("wrong table bit at position 11", "guide.py",
+           "            side[p] = 1 << j",
+           "            side[p] = 1 << j ^ (p == 11)",
+           (ENTRIES, f"{CLI}::test_curve_blocks_match_unpair",
+            f"{CLI}::test_curve_walk_matches_unpair")),
     Mutant("fuel check one short", "guide.py",
            "    if fuel.remaining > source.budget:",
            "    if fuel.remaining >= source.budget:",
@@ -62,6 +72,7 @@ MUTANTS = [
     Mutant("read_limit without + 1", "streams.py",
            "        return min(max(self.remaining, 0), sys.maxsize - 1) + 1",
            "        return min(max(self.remaining, 0), sys.maxsize - 1)", (CHARPAIR,)),
+    # in the merge reach, which the lane tables' pair charges come from too
     Mutant("merge's end one too far", "guide.py",
            "        end = min(max(p1, p0, 0) + 1, n)",
            "        end = min(max(p1, p0, 0) + 2, n)", (CHARPAIR,)),
@@ -78,9 +89,9 @@ MUTANTS = [
     Mutant("_fail charges one more", "guide.py",
            "        fuel.spend(n)",
            "        fuel.spend(n + 1)", (CHARPAIR,)),
-    Mutant("_delimit without + 1", "guide.py",
-           "        fuel.spend(self._starts[after] + 1)",
-           "        fuel.spend(self._starts[after])", (CHARPAIR,)),
+    Mutant("split's reach without + 1", "guide.py",
+           "        return after - 1, self._starts[after] + 1 if after < runs else 0",
+           "        return after - 1, self._starts[after] if after < runs else 0", (CHARPAIR,)),
     Mutant("loop merge charges one more", "charpair.py",
            "            fuel.spend(len(merged))",
            "            fuel.spend(len(merged) + 1)", (CHARPAIR,)),

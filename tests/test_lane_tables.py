@@ -287,3 +287,33 @@ def test_source_entries_answer_as_generic_over_the_seed(spec, budget):
                        for source in sources}
             assert answers == {_metered(lambda f: generic(seed, *args, f), fuel)}, \
                 (name, args, fuel.budget, fuel.remaining)
+
+
+def _charged(call, args) -> tuple:
+    """What call(*args, fuel) returns, and the fuel it leaves of a fresh default budget."""
+    fuel = streams.Fuel(streams.DEFAULT_FUEL)
+    return call(*args, fuel), fuel.remaining
+
+
+@pytest.mark.parametrize("spec", ["morton", "squares", "syracuse", "powers2", "bits-of-naturals",
+                                  # arith-set:1 has no zero, so no tables
+                                  *(f"arith-set:{k}" for k in range(2, 9)), "seed-file"])
+def test_table_charges_equal_the_codec_path_at_every_length(spec, seed_dir):
+    # Every bit length the tables serve, pinned: x of 1 to W bits, at both ends of
+    # its range, beside a 1-bit y (0 and 1) and the reverse, and n of 0 to CAP bits.
+    # Each table-served call must give the answer, and leave the fuel, of the codec
+    # over the same source.
+    if spec == "seed-file":  # runs of 1 to 3 ones and 1 to 4 zeros, past CAP
+        path = seed_dir / "irregular-runs.bits"
+        path.write_text("".join("1" * (i % 3 + 1) + "0" * (i % 4 + 1) for i in range(80)))
+        spec = f"seed-file:{path}"
+    source = _tabled(spec).guide
+    w = source.tables.limit.bit_length() - 1
+    calls = [("pair", xy) for k in range(1, w + 1) for v in (1 << k - 1, (1 << k) - 1)
+             for b in (0, 1) for xy in ((v, b), (b, v))]
+    calls += [("unpair", (n,)) for k in range(CAP + 1) for n in {1 << k >> 1, (1 << k) - 1}]
+    with mock.patch.object(charpair, "_nat_to_bits", side_effect=AssertionError("no table")):
+        served = [_charged(getattr(source, name), args) for name, args in calls]
+    for (name, args), got in zip(calls, served):
+        want = _charged(getattr(charpair.SeedSpec, f"codec_{name}"), (source, *args))
+        assert got == want, (name, args)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairbij import encoders, nadic, streams
-from pairbij.errors import InvalidBase, PairbijError, ZeroArgument
+from pairbij.errors import InvalidBase, NotAnInteger, PairbijError, ZeroArgument
 from pairbij.invariants import decons_by_division
 
 
@@ -359,6 +359,23 @@ def test_fold_refuses_a_non_integer_element(call, message):
         call()
     assert str(e.value) == message
     assert isinstance(e.value, TypeError)  # as Python's own refusal of such a value is
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nadic.nats_to_nat(2, 5), "nats_to_nat's xs must be an iterable, not int"),
+    (lambda: nadic.nats_to_nat(3, 5), "nats_to_nat's xs must be an iterable, not int"),
+    (lambda: nadic.nats_to_nat_mixed(repeat(2), 5),
+     "nats_to_nat_mixed's xs must be an iterable, not int"),
+    (lambda: nadic.nats_to_nat_mixed(5, [1]),
+     "nats_to_nat_mixed's bases must be an iterable, not int"),
+    (lambda: nadic.nat_to_nats_mixed(5, 7), "nat_to_nats_mixed's bases must be an iterable, not int"),
+], ids=["base2", "base3", "mixed-xs", "mixed-bases", "expansion-bases"])
+def test_folds_refuse_an_argument_that_is_not_iterable(call, message):
+    # unchecked, each raised a bare TypeError: 'int' object is not iterable
+    with pytest.raises(NotAnInteger) as e:
+        call()
+    assert str(e.value) == message
+    assert isinstance(e.value, ZeroArgument) and isinstance(e.value, TypeError)
 
 
 @pytest.mark.parametrize("call, message", [
